@@ -1,11 +1,13 @@
 """Explicit Wasserstein upper bounds for the distance between an innovation
 and the standard normal, with per-term breakdowns.
 
-Four closed-form families are implemented: the general nonlinear bound and
-its constant-rate variant, and the linear-case bound in both its direct and
-spectral (L2-kernel) forms, each with a constant-rate variant.  A fifth,
-semi-analytic bound combines Monte Carlo moment estimates with deterministic
-resolvent majorants.
+Three closed-form families are implemented: the general nonlinear bound, the
+linear-case bound, and its spectral (L2-kernel) form, each with a
+constant-rate variant.  They share three of their four terms, so they are
+data: ``FAMILIES`` holds one row per bound (term labels, applicability flags,
+constant-rate marker) and ``_terms`` evaluates every row from one record of
+test-function norms.  A further, semi-analytic bound combines Monte Carlo
+moment estimates with deterministic resolvent majorants.
 """
 
 from __future__ import annotations
@@ -53,6 +55,13 @@ class BoundReport:
         """Combined standard error of the Monte Carlo terms (zero otherwise)."""
         return float(sum(se for _, se in self.mc_terms))
 
+    @property
+    def approx(self) -> bool:
+        """True for a constant-rate variant, which bounds the innovation built
+        with the constant rate in place of the intensity."""
+        family = FAMILIES.get(self.name)
+        return family is not None and family.approx
+
     def term(self, label: str) -> float:
         for lab, v in self.terms:
             if lab == label:
@@ -61,13 +70,13 @@ class BoundReport:
 
 
 def _u_norms(u: TestFunction) -> dict:
-    return {
-        "u_l1": u.lp_norm(1),
-        "u_l2": u.lp_norm(2),
-        "u_l3": u.lp_norm(3),
-        "u_sq_l2": u.squared().lp_norm(2),
-        "u_sq_l1": u.squared().lp_norm(1),
-    }
+    """The norms of u the bounds read, each computed as ``TestFunction.lp_norm``
+    does, without building |u| or u^2 as new test functions."""
+    a = np.abs(np.asarray(u.values))
+    w = u.widths
+    sq = a * a
+    norms = (("u_l1", a, 1), ("u_l2", a, 2), ("u_l3", a, 3), ("u_sq_l2", sq, 2), ("u_sq_l1", sq, 1))
+    return {key: float(np.sum(v**p * w) ** (1.0 / p)) for key, v, p in norms}
 
 
 def intensity_bracket(p: HawkesParams) -> tuple:
@@ -79,45 +88,110 @@ def intensity_bracket(p: HawkesParams) -> tuple:
     return (p.phi0, p.phi0 / (1.0 - am))
 
 
-def bound_nonlinear(p: HawkesParams, u: TestFunction) -> BoundReport:
-    """General bound: applies to any nondecreasing Lipschitz link, in both the
-    stationary and the from-empty-past settings."""
+_SHARED = ("third_moment", "excitation_variance", "excitation_cross")
+_NONLINEAR = ("rate_bracket_max",) + _SHARED
+_LINEAR = ("variance_mismatch",) + _SHARED
+_RATE = ("rate_estimate_error",)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One closed-form bound as data: which base formula it evaluates
+    (``nonlinear``, ``linear`` or ``spectral``), the terms it reports in
+    order, when it applies, and whether it is the constant-rate variant."""
+
+    name: str
+    base: str
+    labels: tuple
+    requires_linear: bool = False
+    requires_l2: bool = False
+    stationary_only: bool = False
+    approx: bool = False
+
+    def skip_reason(self, p: HawkesParams, stationary: bool):
+        """Why this bound does not apply to ``p`` in the given mode, or None:
+        the linear and spectral bounds need a linear link and the stationary
+        setting, the spectral ones moreover a square-integrable kernel."""
+        if self.requires_linear and not p.is_linear:
+            return "link is not linear"
+        if self.stationary_only and not stationary:
+            return "needs the stationary setting"
+        if self.requires_l2 and not math.isfinite(l2_norm(p.kernel)):
+            return "kernel is not square-integrable"
+        return None
+
+
+#: the closed-form bounds in report order
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("nonlinear", "nonlinear", _NONLINEAR),
+        Family("nonlinear_approx", "nonlinear", _NONLINEAR + _RATE, approx=True),
+        Family("linear", "linear", _LINEAR, requires_linear=True, stationary_only=True),
+        Family("linear_approx", "linear", _LINEAR + _RATE, requires_linear=True,
+               stationary_only=True, approx=True),
+        Family("linear_spectral", "spectral", _LINEAR, requires_linear=True,
+               requires_l2=True, stationary_only=True),
+        Family("linear_spectral_approx", "spectral", _LINEAR + _RATE, requires_linear=True,
+               requires_l2=True, stationary_only=True, approx=True),
+    )
+}
+
+
+def _terms(base: str, rate0: float, am: float, n: dict, h2: float | None) -> dict:
+    """Every term of one base formula by label, from ``rate0`` = phi(0) or nu,
+    ``am`` = alpha*mu or mu, the norms ``n`` of u and the kernel's L2 norm
+    ``h2`` (spectral only).  The bases differ in their first term, in whether
+    the excitation variance keeps its (2 - am) factor, and in the rate error
+    their constant-rate variant adds."""
+    one = 1.0 - am
+    lam = rate0 / one
+    l2sq = n["u_l2"] ** 2
+    spectral = base == "spectral"
+    if base == "nonlinear":
+        first = SQRT_2_OVER_PI * max(abs(1.0 - rate0 * l2sq), abs(1.0 - lam * l2sq))
+    elif spectral:
+        var_min = min(am**2 * n["u_sq_l2"] ** 2, h2**2 * n["u_sq_l1"] ** 2)
+        first = SQRT_2_OVER_PI * math.sqrt((1.0 - lam * l2sq) ** 2 + rate0 / one**3 * var_min)
+    else:
+        first = SQRT_2_OVER_PI * abs(1.0 - lam * l2sq)
+    var_coef = 2.0 * SQRT_2_OVER_PI * rate0 * am
+    if spectral:
+        rate_error = math.sqrt(rate0) / one**1.5 * min(am * n["u_l2"], h2 * n["u_l1"])
+    else:
+        var_coef = var_coef * (2.0 - am)
+        rate_error = 2.0 * rate0 * am / one * n["u_l1"]
+    return {
+        "rate_bracket_max": first,
+        "variance_mismatch": first,
+        "third_moment": lam * n["u_l3"] ** 3,
+        "excitation_variance": var_coef / one**2 * l2sq,
+        "excitation_cross": rate0 * am / one**2 * n["u_l2"] * n["u_sq_l2"],
+        "rate_estimate_error": rate_error,
+    }
+
+
+def _report(family: Family, rate0: float, am: float, n: dict, h2=None) -> BoundReport:
+    terms = _terms(family.base, rate0, am, n, h2)
+    keys = ("nu", "mu") if family.requires_linear else ("phi0", "alpha_mu")
+    inputs = dict(zip(keys, (rate0, am)))
+    if family.requires_l2:
+        inputs["h_l2"] = h2
+    return BoundReport(
+        name=family.name,
+        terms=tuple((label, terms[label]) for label in family.labels),
+        requires_linear=family.requires_linear,
+        requires_l2=family.requires_l2,
+        stationary_only=family.stationary_only,
+        inputs={**inputs, **n},
+    )
+
+
+def _nonlinear_report(name: str, p: HawkesParams, u: TestFunction) -> BoundReport:
     am = p.alpha_mu
     if am >= 1:
         raise StabilityError(f"alpha*mu must be < 1, got {am}")
-    phi0 = p.phi0
-    n = _u_norms(u)
-    l2sq = n["u_l2"] ** 2
-    one = 1.0 - am
-    t_max = SQRT_2_OVER_PI * max(
-        abs(1.0 - phi0 * l2sq), abs(1.0 - phi0 / one * l2sq)
-    )
-    t_l3 = phi0 / one * n["u_l3"] ** 3
-    t_var = 2.0 * SQRT_2_OVER_PI * phi0 * am * (2.0 - am) / one**2 * l2sq
-    t_cross = phi0 * am / one**2 * n["u_l2"] * n["u_sq_l2"]
-    return BoundReport(
-        name="nonlinear",
-        terms=(
-            ("rate_bracket_max", t_max),
-            ("third_moment", t_l3),
-            ("excitation_variance", t_var),
-            ("excitation_cross", t_cross),
-        ),
-        inputs={"phi0": phi0, "alpha_mu": am, **n},
-    )
-
-
-def bound_nonlinear_approx(p: HawkesParams, u: TestFunction) -> BoundReport:
-    """Nonlinear bound for the constant-rate innovation: adds the rate-error
-    term 2*phi(0)*alpha*mu/(1-alpha*mu) * ||u||_L1."""
-    base = bound_nonlinear(p, u)
-    am = p.alpha_mu
-    corr = 2.0 * p.phi0 * am / (1.0 - am) * base.inputs["u_l1"]
-    return BoundReport(
-        name="nonlinear_approx",
-        terms=base.terms + (("rate_estimate_error", corr),),
-        inputs=base.inputs,
-    )
+    return _report(FAMILIES[name], p.phi0, am, _u_norms(u))
 
 
 def _check_linear(nu: float, mu: float) -> None:
@@ -127,96 +201,49 @@ def _check_linear(nu: float, mu: float) -> None:
         raise StabilityError(f"linear case requires mu < 1, got {mu}")
 
 
+def _linear_report(name: str, nu: float, k: Kernel, u: TestFunction) -> BoundReport:
+    family = FAMILIES[name]
+    mu = l1_norm(k)
+    _check_linear(nu, mu)
+    h2 = None
+    if family.requires_l2:
+        h2 = l2_norm(k)
+        if not math.isfinite(h2):
+            raise ParameterError("spectral bound needs a square-integrable kernel")
+    return _report(family, nu, mu, _u_norms(u), h2)
+
+
+def bound_nonlinear(p: HawkesParams, u: TestFunction) -> BoundReport:
+    """General bound: applies to any nondecreasing Lipschitz link, in both the
+    stationary and the from-empty-past settings."""
+    return _nonlinear_report("nonlinear", p, u)
+
+
+def bound_nonlinear_approx(p: HawkesParams, u: TestFunction) -> BoundReport:
+    """Nonlinear bound for the constant-rate innovation: adds the rate-error
+    term 2*phi(0)*alpha*mu/(1-alpha*mu) * ||u||_L1."""
+    return _nonlinear_report("nonlinear_approx", p, u)
+
+
 def bound_linear(nu: float, k: Kernel, u: TestFunction) -> BoundReport:
     """Linear-case bound: sharper than the nonlinear bound because the mean
     intensity nu/(1-mu) is known exactly.  Proven under stationarity."""
-    mu = l1_norm(k)
-    _check_linear(nu, mu)
-    n = _u_norms(u)
-    lam = nu / (1.0 - mu)
-    l2sq = n["u_l2"] ** 2
-    t_var0 = SQRT_2_OVER_PI * abs(1.0 - lam * l2sq)
-    t_l3 = lam * n["u_l3"] ** 3
-    t_var = 2.0 * SQRT_2_OVER_PI * nu * mu * (2.0 - mu) / (1.0 - mu) ** 2 * l2sq
-    t_cross = nu * mu / (1.0 - mu) ** 2 * n["u_l2"] * n["u_sq_l2"]
-    return BoundReport(
-        name="linear",
-        terms=(
-            ("variance_mismatch", t_var0),
-            ("third_moment", t_l3),
-            ("excitation_variance", t_var),
-            ("excitation_cross", t_cross),
-        ),
-        requires_linear=True,
-        stationary_only=True,
-        inputs={"nu": nu, "mu": mu, **n},
-    )
+    return _linear_report("linear", nu, k, u)
 
 
 def bound_linear_approx(nu: float, k: Kernel, u: TestFunction) -> BoundReport:
-    base = bound_linear(nu, k, u)
-    mu = base.inputs["mu"]
-    corr = 2.0 * nu * mu / (1.0 - mu) * base.inputs["u_l1"]
-    return BoundReport(
-        name="linear_approx",
-        terms=base.terms + (("rate_estimate_error", corr),),
-        requires_linear=True,
-        stationary_only=True,
-        inputs=base.inputs,
-    )
+    return _linear_report("linear_approx", nu, k, u)
 
 
 def bound_linear_spectral(nu: float, k: Kernel, u: TestFunction) -> BoundReport:
     """Linear-case bound using the spectral covariance identity; requires a
     square-integrable kernel.  The variance term sits inside a square root and
     the excitation-variance coefficient loses the (2-mu) factor."""
-    mu = l1_norm(k)
-    _check_linear(nu, mu)
-    h2 = l2_norm(k)
-    if not math.isfinite(h2):
-        raise ParameterError("spectral bound needs a square-integrable kernel")
-    n = _u_norms(u)
-    lam = nu / (1.0 - mu)
-    l2sq = n["u_l2"] ** 2
-    var_min = min(mu**2 * n["u_sq_l2"] ** 2, h2**2 * n["u_sq_l1"] ** 2)
-    t_var0 = SQRT_2_OVER_PI * math.sqrt(
-        (1.0 - lam * l2sq) ** 2 + nu / (1.0 - mu) ** 3 * var_min
-    )
-    t_l3 = lam * n["u_l3"] ** 3
-    t_var = 2.0 * SQRT_2_OVER_PI * nu * mu / (1.0 - mu) ** 2 * l2sq
-    t_cross = nu * mu / (1.0 - mu) ** 2 * n["u_l2"] * n["u_sq_l2"]
-    return BoundReport(
-        name="linear_spectral",
-        terms=(
-            ("variance_mismatch", t_var0),
-            ("third_moment", t_l3),
-            ("excitation_variance", t_var),
-            ("excitation_cross", t_cross),
-        ),
-        requires_linear=True,
-        requires_l2=True,
-        stationary_only=True,
-        inputs={"nu": nu, "mu": mu, "h_l2": h2, **n},
-    )
+    return _linear_report("linear_spectral", nu, k, u)
 
 
 def bound_linear_spectral_approx(nu: float, k: Kernel, u: TestFunction) -> BoundReport:
-    base = bound_linear_spectral(nu, k, u)
-    mu = base.inputs["mu"]
-    h2 = base.inputs["h_l2"]
-    corr = (
-        math.sqrt(nu)
-        / (1.0 - mu) ** 1.5
-        * min(mu * base.inputs["u_l2"], h2 * base.inputs["u_l1"])
-    )
-    return BoundReport(
-        name="linear_spectral_approx",
-        terms=base.terms + (("rate_estimate_error", corr),),
-        requires_linear=True,
-        requires_l2=True,
-        stationary_only=True,
-        inputs=base.inputs,
-    )
+    return _linear_report("linear_spectral_approx", nu, k, u)
 
 
 def compare_conditions(nu: float, k: Kernel, u: TestFunction) -> dict:
@@ -289,18 +316,13 @@ def evaluate_all(
     u: TestFunction,
     stationary: bool,
 ) -> list[BoundReport]:
-    """Every closed-form bound applicable to (params, u) in the given mode.
-
-    The nonlinear pair always applies; the linear and spectral pairs need a
-    linear link and the stationary setting, and the spectral ones moreover a
-    square-integrable kernel.
-    """
-    reports = [bound_nonlinear(params, u), bound_nonlinear_approx(params, u)]
-    if params.is_linear and stationary:
-        nu = params.link.nu
-        reports.append(bound_linear(nu, params.kernel, u))
-        reports.append(bound_linear_approx(nu, params.kernel, u))
-        if math.isfinite(l2_norm(params.kernel)):
-            reports.append(bound_linear_spectral(nu, params.kernel, u))
-            reports.append(bound_linear_spectral_approx(nu, params.kernel, u))
+    """Every closed-form bound applicable to (params, u) in the given mode,
+    in ``FAMILIES`` order; see ``Family.skip_reason`` for the rule."""
+    n = _u_norms(u)
+    rate0, am = params.phi0, params.alpha_mu
+    reports = []
+    for family in FAMILIES.values():
+        if family.skip_reason(params, stationary) is None:
+            h2 = l2_norm(params.kernel) if family.requires_l2 else None
+            reports.append(_report(family, rate0, am, n, h2))
     return reports

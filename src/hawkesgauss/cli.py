@@ -8,13 +8,12 @@ confidence interval.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from ._version import __version__
-from .bounds import evaluate_all
+from .bounds import FAMILIES, evaluate_all
 from .config import RunConfig, config_hash, parse_config
 from .errors import ConfigError, ParameterError, SimulationError, StabilityError
 from .experiments import (
@@ -119,14 +118,10 @@ def _cmd_bounds(args) -> int:
         print(f"{r.name:<24} {r.total:>12.6f}  {'; '.join(notes)}")
         for label, value in r.terms:
             print(f"  {label:<22} {value:>12.6f}")
-    skipped = []
-    if not params.is_linear:
-        skipped.append(("linear family", "link is not linear"))
-        skipped.append(("spectral family", "link is not linear"))
-    elif not math.isfinite(params.kernel.l2_norm()):
-        skipped.append(("spectral family", "kernel is not square-integrable"))
-    for name, reason in skipped:
-        print(f"{name:<24} {'skipped':>12}  {reason}")
+    for family in FAMILIES.values():
+        reason = family.skip_reason(params, stationary=params.is_linear)
+        if reason is not None and not family.approx:
+            print(f"{family.base + ' family':<24} {'skipped':>12}  {reason}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "bounds.csv"
@@ -198,7 +193,7 @@ def _cmd_ci(args) -> int:
     params = cfg.build_params()
     u = cfg.build_u(params)
     reports = evaluate_all(params, u, stationary=cfg.mode == "stationary")
-    exact = [r for r in reports if not r.name.endswith("_approx")]
+    exact = [r for r in reports if not r.approx]
     bound = min(r.total for r in exact)
     best = min(exact, key=lambda r: r.total)
     ci = confidence_interval(bound, args.beta)

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    BoundReport,
     bound_general_resolvent,
     compare_conditions,
     evaluate_all,
@@ -220,10 +219,6 @@ class BoundComparison:
     samples: ReplicationSet
 
 
-def _is_approx(report: BoundReport) -> bool:
-    return report.name.endswith("_approx")
-
-
 def run_bound_vs_empirical(
     preset,
     n_reps: int = DEFAULT_REPS,
@@ -273,8 +268,8 @@ def run_bound_vs_empirical(
     se_e = bootstrap_w1_se(s_exact, BOOTSTRAP_RESAMPLES, seed=seed + 1)
     se_a = bootstrap_w1_se(s_approx, BOOTSTRAP_RESAMPLES, seed=seed + 2)
 
-    exact_bounds = [r.total + r.mc_se for r in reports if not _is_approx(r)]
-    approx_bounds = [r.total + r.mc_se for r in reports if _is_approx(r)]
+    exact_bounds = [r.total + r.mc_se for r in reports if not r.approx]
+    approx_bounds = [r.total + r.mc_se for r in reports if r.approx]
     min_e = min(exact_bounds)
     min_a = min(approx_bounds)
     passed = (

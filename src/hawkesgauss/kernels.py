@@ -69,7 +69,7 @@ def default_horizon(kernel: Kernel, alpha: float, tail_fraction: float = 1e-6) -
     ``tail_fraction`` of its total mass alpha*mu/(1-alpha*mu)."""
     am = alpha * kernel.l1_norm()
     if am <= 0:
-        return max(1.0, min(kernel.support_end, 1.0))
+        return 1.0
     if am >= 1:
         raise StabilityError(f"alpha*mu must be < 1, got {am}")
     if isinstance(kernel, ExponentialKernel):

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ParameterError, SimulationError, TruncationError
+from .kernels import default_horizon
 from .model import (
     BoxKernel,
     EventStream,
@@ -57,15 +58,11 @@ def rng_for(seed: int, replication: int) -> np.random.Generator:
 
 def default_burn_in(params: HawkesParams, tail_fraction: float = 1e-4) -> float:
     """Burn-in long enough that the resolvent mass beyond it is below
-    ``tail_fraction`` of its total; 0 when there is no excitation."""
-    am = params.alpha_mu
-    if am <= 0:
+    ``tail_fraction`` of its total (``kernels.default_horizon``); 0 when
+    there is no excitation."""
+    if params.alpha_mu <= 0:
         return 0.0
-    k = params.kernel
-    if isinstance(k, ExponentialKernel):
-        return -math.log(tail_fraction) / (k.rate * (1.0 - am))
-    n = max(2, math.ceil(math.log(tail_fraction) / math.log(am)) + 1)
-    return n * k.support_end
+    return default_horizon(params.kernel, params.link.lipschitz, tail_fraction)
 
 
 class _ExcitationState:

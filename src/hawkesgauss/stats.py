@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .errors import ParameterError, StatisticalError
 
@@ -29,57 +29,14 @@ def normal_pdf(x):
     return out if out.ndim else float(out)
 
 
-# Rational approximation for the inverse normal CDF (Acklam), used only to
-# seed Newton refinement on normal_cdf.
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _acklam_seed(q: np.ndarray) -> np.ndarray:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    x = np.empty_like(q)
-    lo = q < _P_LOW
-    hi = q > 1.0 - _P_LOW
-    mid = ~(lo | hi)
-    if np.any(mid):
-        p = q[mid] - 0.5
-        r = p * p
-        num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        x[mid] = p * num / den
-    if np.any(lo):
-        r = np.sqrt(-2.0 * np.log(q[lo]))
-        num = ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-        den = (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0
-        x[lo] = num / den
-    if np.any(hi):
-        r = np.sqrt(-2.0 * np.log(1.0 - q[hi]))
-        num = ((((c[0] * r + c[1]) * r + c[2]) * r + c[3]) * r + c[4]) * r + c[5]
-        den = (((d[0] * r + d[1]) * r + d[2]) * r + d[3]) * r + 1.0
-        x[hi] = -num / den
-    return x
-
-
 def normal_quantile(q):
-    """Inverse standard normal CDF via Newton iterations seeded by a rational
-    approximation; satisfies |Phi(Phi^-1(q)) - q| <= 1e-10 on (0, 1)."""
+    """Inverse standard normal CDF (``scipy.special.ndtri``); q must lie
+    strictly in (0, 1)."""
     scalar = np.isscalar(q) or np.asarray(q).ndim == 0
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     if np.any(~((q_arr > 0.0) & (q_arr < 1.0))):
         raise ParameterError("quantile argument must lie strictly in (0, 1)")
-    x = _acklam_seed(q_arr)
-    for _ in range(3):
-        err = normal_cdf(x) - q_arr
-        pdf = normal_pdf(x)
-        stepped = np.where(pdf > 0.0, err / np.maximum(pdf, 1e-320), 0.0)
-        x = x - stepped
+    x = ndtri(q_arr)
     return float(x[0]) if scalar else x
 
 

@@ -306,3 +306,22 @@ class TestReportPlumbing:
         )
         names = {r.name for r in hg.evaluate_all(nonlin, u, stationary=True)}
         assert names == {"nonlinear", "nonlinear_approx"}
+        # per family: (requires_linear, requires_l2, stationary_only, approx),
+        # the same from evaluate_all and from the direct entry point
+        expected = {
+            "nonlinear": (False, False, False, False),
+            "nonlinear_approx": (False, False, False, True),
+            "linear": (True, False, True, False),
+            "linear_approx": (True, False, True, True),
+            "linear_spectral": (True, True, True, False),
+            "linear_spectral_approx": (True, True, True, True),
+        }
+        reports = hg.evaluate_all(lin, u, stationary=True)
+        assert [r.name for r in reports] == list(expected)
+        for r in reports:
+            entry = getattr(hg, f"bound_{r.name}")
+            direct = entry(lin, u) if r.name.startswith("nonlinear") else entry(1.0, lin.kernel, u)
+            for rep in (r, direct):
+                flags = (rep.requires_linear, rep.requires_l2, rep.stationary_only, rep.approx)
+                assert flags == expected[r.name]
+            assert (direct.name, direct.terms, direct.inputs) == (r.name, r.terms, r.inputs)

@@ -206,6 +206,10 @@ seed = 1
         assert main(["bounds", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "linear family" in out and "skipped" in out
+        assert any(
+            line.startswith("spectral family") and "skipped" in line
+            for line in out.splitlines()
+        )
         assert out.count("\nnonlinear") >= 1
 
     def test_experiment_unknown_name_exits_2(self, tmp_path, capsys):

@@ -92,40 +92,21 @@ def _integrate_intensity(path: IntensityPath, a: float, b: float, h_quad: float)
         s_mid = path.excitation_before(0.5 * (a + b))
         return float(link(s_mid)) * length, 0.0
 
-    s_a = path.excitation_after(a)
-
-    if isinstance(kernel, ExponentialKernel):
+    if isinstance(kernel, ExponentialKernel) and isinstance(link, LinearLink):
+        # int (nu + s_a e^{-rate u}) du in closed form
         rate = kernel.rate
-        if isinstance(link, LinearLink):
-            # int (nu + s_a e^{-rate u}) du in closed form
-            return (
-                link.nu * length + s_a * (1.0 - math.exp(-rate * length)) / rate,
-                0.0,
-            )
-        n = max(8, math.ceil(length / h_quad))
-        n += n % 2
-        h2 = length / (2 * n)
-        u = np.arange(2 * n + 1) * h2
-        lam = np.asarray(link(s_a * np.exp(-rate * u)), dtype=float)
-        return _simpson_pair(lam, h2)
+        s_a = path.excitation_after(a)
+        return link.nu * length + s_a * (1.0 - math.exp(-rate * length)) / rate, 0.0
 
-    # tabulated kernel: evaluate the excitation sum on the Simpson grid
     n = max(8, math.ceil(length / h_quad))
     n += n % 2
     h2 = length / (2 * n)
-    ts = a + np.arange(2 * n + 1) * h2
-    events = np.asarray(path.events)
-    lo = np.searchsorted(events, a - kernel.support_end)
-    hi = np.searchsorted(events, a, side="right")
-    s = np.zeros(len(ts))
-    for e in events[lo:hi]:
-        ages = ts - e
-        vals = np.asarray(kernel(ages), dtype=float)
-        if e == a:
-            vals[0] = kernel.jump
-        s += vals
-    lam = np.asarray(link(s), dtype=float)
-    return _simpson_pair(lam, h2)
+    u = np.arange(2 * n + 1) * h2
+    if isinstance(kernel, ExponentialKernel):
+        s = path.excitation_after(a) * np.exp(-kernel.rate * u)
+    else:
+        s = path._excitation_grid(a + u)
+    return _simpson_pair(np.asarray(link(s), dtype=float), h2)
 
 
 def weighted_intensity_integral(

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,16 @@ class ResolventTable:
     def total_mass(self) -> float:
         """alpha*mu/(1-alpha*mu), the exact mass of psi on (0, inf)."""
         return self.alpha_mu / (1.0 - self.alpha_mu)
+
+    @cached_property
+    def _double_antiderivative(self) -> np.ndarray:
+        """p2(x) = int_0^x p1 with p1(x) = int_0^x psi, both by the trapezoid
+        rule on the table grid; computed once per table."""
+        step, vals = self.step, self.values
+        p1 = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)))
+        p2 = np.concatenate(([0.0], np.cumsum(0.5 * (p1[1:] + p1[:-1]) * step)))
+        p2.setflags(write=False)  # shared by every later call
+        return p2
 
     def grid_mass(self) -> float:
         """Trapezoid integral of the tabulated values."""
@@ -246,12 +257,8 @@ def cross_energy(f: TestFunction, g: TestFunction, psi: ResolventTable) -> float
             required_horizon=lag_max,
         )
 
-    step = psi.step
-    vals = psi.values
-    # p1 = int_0^x psi, p2 = int_0^x p1, both on the table grid
-    p1 = np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)))
-    p2 = np.concatenate(([0.0], np.cumsum(0.5 * (p1[1:] + p1[:-1]) * step)))
-    grid = np.arange(len(vals)) * step
+    p2 = psi._double_antiderivative
+    grid = np.arange(len(p2)) * psi.step
 
     def P2(x: np.ndarray) -> np.ndarray:
         return np.where(x <= 0, 0.0, np.interp(x, grid, p2))

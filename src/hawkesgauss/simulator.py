@@ -4,6 +4,13 @@
 dominating rate, valid because the built-in kernels are nonincreasing and the
 links nondecreasing, so the intensity only decays between events.
 
+The excitation state is the event list plus, for exponential kernels, the
+right limits ``s_plus`` after each event.  One append step records it, one
+evaluator reads S(t) from it and one window sum serves compactly supported
+kernels; thinning, ``IntensityPath`` and the compensator quadrature in
+``chaos`` all go through them, so the compensator integrates the intensity
+that drew the events.
+
 ``embedding_simulate`` is a small-scale cross-validator that runs the literal
 iterative construction driven by one shared planar Poisson field, truncated
 to a finite mark strip.
@@ -65,60 +72,37 @@ def default_burn_in(params: HawkesParams, tail_fraction: float = 1e-4) -> float:
     return default_horizon(params.kernel, params.link.lipschitz, tail_fraction)
 
 
-class _ExcitationState:
-    """Right limit S(t+) of the excitation sum over past events; an event
-    exactly at t counts with weight h(0+)."""
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.events: list[float] = []
-
-    def value_at(self, t: float) -> float:
-        raise NotImplementedError
-
-    def add_event(self, t: float) -> None:
-        self.events.append(t)
+def _window_sum(kernel, t, window):
+    """Sum of h(t - e) over the event times e of ``window``, none after t (for
+    an array of times, none after the first); an event at t weighs h(0+).
+    For a box kernel every event must lie within the support of t."""
+    if isinstance(kernel, BoxKernel):
+        return len(window) * kernel.jump
+    ages = t - np.asarray(window)
+    vals = np.asarray(kernel(ages), dtype=float)
+    vals[ages <= 0] = kernel.jump
+    return vals.sum(axis=0)
 
 
-class _ExponentialState(_ExcitationState):
-    """O(1) Markov recursion: S decays by exp(-rate*dt) between events."""
-
-    def __init__(self, kernel: ExponentialKernel):
-        super().__init__(kernel)
-        self._s = 0.0
-        self._t = None
-
-    def value_at(self, t: float) -> float:
-        if self._t is None:
-            return 0.0
-        return self._s * math.exp(-self.kernel.rate * (t - self._t))
-
-    def add_event(self, t: float) -> None:
-        self._s = self.value_at(t) + self.kernel.jump
-        self._t = t
-        super().add_event(t)
-
-
-class _WindowState(_ExcitationState):
-    """Sliding event-window sum for compactly supported kernels."""
-
-    def value_at(self, t: float) -> float:
-        lo = bisect_left(self.events, t - self.kernel.support_end)
-        hi = bisect_right(self.events, t)
-        if isinstance(self.kernel, BoxKernel):
-            return (hi - lo) * self.kernel.jump
-        if hi == lo:
-            return 0.0
-        ages = t - np.asarray(self.events[lo:hi])
-        vals = np.asarray(self.kernel(ages), dtype=float)
-        vals[ages <= 0] = self.kernel.jump
-        return float(vals.sum())
-
-
-def _make_state(kernel) -> _ExcitationState:
+def _excitation(kernel, events, s_plus, t: float, n: int) -> float:
+    """S at t from the first n events, none of them after t: n counts the
+    events before t for the left limit S(t), and also those at t for the
+    right limit S(t+), where an event at t weighs h(0+)."""
+    if n == 0:
+        return 0.0
     if isinstance(kernel, ExponentialKernel):
-        return _ExponentialState(kernel)
-    return _WindowState(kernel)
+        return s_plus[n - 1] * math.exp(-kernel.rate * (t - events[n - 1]))
+    lo = bisect_left(events, t - kernel.support_end, 0, n)
+    return float(_window_sum(kernel, t, events[lo:n]))
+
+
+def _append_event(kernel, events: list, s_plus: list, t: float) -> None:
+    """Add an event at t, later than every recorded one; for exponential
+    kernels also record S(t+) = S(t) + h(0+), the Markov recursion that makes
+    evaluation between events O(1)."""
+    if isinstance(kernel, ExponentialKernel):
+        s_plus.append(_excitation(kernel, events, s_plus, t, len(events)) + kernel.jump)
+    events.append(t)
 
 
 def simulate(
@@ -143,17 +127,19 @@ def simulate(
     rng = rng_for(cfg.seed, cfg.replication)
     t_start = -cfg.burn_in
     t = t_start
-    state = _make_state(kernel)
     events: list[float] = []
+    s_plus: list[float] = []
 
+    # every recorded event is at or before t and before t_cand, so both
+    # evaluations use all of them: S(t+) for the envelope, S(t_cand) for lambda
     while True:
-        lam_bar = float(envelope(state.value_at(t)))
+        lam_bar = float(envelope(_excitation(kernel, events, s_plus, t, len(events))))
         if lam_bar <= 0:
             raise SimulationError(f"dominating rate {lam_bar} <= 0 at t={t}", time=t)
         t_cand = t + rng.exponential(1.0 / lam_bar)
         if t_cand > cfg.t_end:
             break
-        lam_cand = float(link(state.value_at(t_cand)))
+        lam_cand = float(link(_excitation(kernel, events, s_plus, t_cand, len(events))))
         if lam_cand > lam_bar * (1.0 + 1e-9):
             raise SimulationError(
                 f"candidate intensity {lam_cand} exceeds dominating rate {lam_bar} "
@@ -161,23 +147,22 @@ def simulate(
                 time=t_cand,
             )
         if rng.random() * lam_bar <= lam_cand:
-            state.add_event(t_cand)
-            events.append(t_cand)
+            _append_event(kernel, events, s_plus, t_cand)
         t = t_cand
 
-    reported = tuple(e for e in events if e > 0.0)
     stream = EventStream(
-        times=reported,
+        times=tuple(e for e in events if e > 0.0),
         window=(0.0, cfg.t_end),
         burn_in=cfg.burn_in,
         seed=cfg.seed,
     )
-    path = IntensityPath.build(
+    path = IntensityPath(
         events=tuple(events),
         kernel=kernel,
         link=link,
-        t_start=t_start,
-        t_end=cfg.t_end,
+        t_start=float(t_start),
+        t_end=float(cfg.t_end),
+        s_plus=tuple(s_plus),
     )
     return stream, path
 
@@ -192,7 +177,9 @@ class IntensityPath:
     the raw event list including the burn-in prefix, plus kernel and link.
 
     For exponential kernels ``s_plus[i]`` caches the excitation sum right
-    after event i, giving O(1) evaluation between events.
+    after event i, giving O(1) evaluation between events.  ``simulate``
+    records it while thinning; ``build`` computes it for callers who bring
+    their own events.
     """
 
     events: tuple
@@ -204,56 +191,43 @@ class IntensityPath:
 
     @classmethod
     def build(cls, events, kernel, link, t_start, t_end) -> "IntensityPath":
-        s_plus: tuple = ()
-        if isinstance(kernel, ExponentialKernel) and events:
-            acc = []
-            s = 0.0
-            prev = None
-            for e in events:
-                s = (s * math.exp(-kernel.rate * (e - prev)) if prev is not None else 0.0)
-                s += kernel.jump
-                acc.append(s)
-                prev = e
-            s_plus = tuple(acc)
-        return cls(
-            events=tuple(events),
-            kernel=kernel,
-            link=link,
-            t_start=float(t_start),
-            t_end=float(t_end),
-            s_plus=s_plus,
-        )
+        """Path of the given events, which must be finite, strictly ascending
+        and inside (t_start, t_end]."""
+        t_start, t_end = float(t_start), float(t_end)
+        times = tuple(float(e) for e in events)
+        if not (
+            all(map(math.isfinite, times))
+            and all(a < b for a, b in zip((t_start,) + times, times))
+            and (not times or times[-1] <= t_end)
+        ):
+            raise ParameterError(
+                f"events must be finite, strictly ascending and inside "
+                f"({t_start}, {t_end}]"
+            )
+        recorded: list[float] = []
+        s_plus: list[float] = []
+        for e in times:
+            _append_event(kernel, recorded, s_plus, e)
+        return cls(times, kernel, link, t_start, t_end, tuple(s_plus))
 
     def excitation_before(self, t: float) -> float:
         """S(t) using events strictly before t (predictable evaluation)."""
-        events = self.events
-        idx = bisect_left(events, t) - 1
-        if idx < 0:
-            return 0.0
-        k = self.kernel
-        if isinstance(k, ExponentialKernel):
-            return self.s_plus[idx] * math.exp(-k.rate * (t - events[idx]))
-        lo = bisect_left(events, t - k.support_end)
-        if isinstance(k, BoxKernel):
-            return (idx + 1 - lo) * k.jump
-        total = 0.0
-        for i in range(lo, idx + 1):
-            total += k(t - events[i])
-        return total
+        n = bisect_left(self.events, t)
+        return _excitation(self.kernel, self.events, self.s_plus, t, n)
 
     def excitation_after(self, t: float) -> float:
         """Right limit S(t+), counting an event at t with weight h(0+)."""
+        n = bisect_right(self.events, t)
+        return _excitation(self.kernel, self.events, self.s_plus, t, n)
+
+    def _excitation_grid(self, ts: np.ndarray) -> np.ndarray:
+        """S at the ascending times ``ts`` from the events up to ts[0], one at
+        ts[0] weighing h(0+); exact when no event or kernel expiry lies in
+        (ts[0], ts[-1]) and the kernel is not a box."""
         events = self.events
-        idx = bisect_right(events, t) - 1
-        if idx < 0:
-            return 0.0
-        k = self.kernel
-        if isinstance(k, ExponentialKernel):
-            return self.s_plus[idx] * math.exp(-k.rate * (t - events[idx]))
-        s = self.excitation_before(t)
-        if idx >= 0 and events[idx] == t:
-            s += k.jump
-        return s
+        lo = bisect_left(events, ts[0] - self.kernel.support_end)
+        hi = bisect_right(events, ts[0])
+        return _window_sum(self.kernel, ts, np.asarray(events[lo:hi])[:, None])
 
 
 def intensity_at(path: IntensityPath, t: float) -> float:

@@ -72,6 +72,29 @@ class TestFirstChaos:
         assert val == pytest.approx(oracle, abs=1e-7)
         assert err < 1e-6
 
+    @pytest.mark.parametrize(
+        "link", [hg.LinearLink(1.0), hg.SaturatingExpLink(1.0, 3.0)], ids=["linear", "saturating"]
+    )
+    def test_tabulated_simpson_branch_matches_oracle(self, link):
+        # a tabulated kernel always takes the Simpson grid; cut the oracle at
+        # every event age on the kernel's grid (events and expiries included),
+        # where the intensity jumps or kinks
+        kernel = hg.TabulatedKernel(0.25, (0.6, 0.5, 0.4, 0.3, 0.3, 0.2, 0.1, 0.0))
+        p = hg.HawkesParams(kernel, link)
+        stream, path = hg.simulate(hg.SimConfig(p, 20.0, burn_in=1.0, seed=17))
+        u = hg.TestFunction((0.0, 20.0), (1.0,))
+        val, err = weighted_intensity_integral(path, u)
+        assert err > 0.0
+        knots = [t + k * kernel.step for t in path.events for k in range(len(kernel.values))]
+        pts = sorted({0.0, 20.0} | {t for t in knots if 0.0 < t < 20.0})
+        assert len(pts) > 200
+        oracle = sum(
+            quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
+            for a, b in zip(pts[:-1], pts[1:])
+        )
+        assert val == pytest.approx(oracle, abs=1e-7)
+        assert err < 1e-6
+
     def test_box_kernel_exact_segments(self):
         p = hg.HawkesParams(hg.BoxKernel(1.0, 0.4), hg.LinearLink(1.0))
         stream, path = hg.simulate(hg.SimConfig(p, 8.0, seed=19))

@@ -15,6 +15,13 @@ def poisson_params(nu=1.0):
     return hg.HawkesParams(hg.ExponentialKernel(1.0, 0.0), hg.LinearLink(nu))
 
 
+KERNELS = {
+    "exponential": hg.ExponentialKernel(1.0, 0.5),
+    "box": hg.BoxKernel(1.5, 0.6),
+    "tabulated": hg.TabulatedKernel(0.5, (0.8, 0.5, 0.4, 0.1, 0.0)),
+}
+
+
 class TestSimulate:
     def test_deterministic_bytes(self):
         p = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.5), hg.LinearLink(1.0))
@@ -105,6 +112,17 @@ class TestSimulate:
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))
         assert abs(diffs.mean()) < 4 * se
 
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_build_reproduces_thinning_path(self, kind):
+        # thinning records the excitation state as it accepts events; build
+        # recomputes it from the events alone
+        p = hg.HawkesParams(KERNELS[kind], hg.SaturatingExpLink(1.0, 3.0))
+        _, path = hg.simulate(hg.SimConfig(p, 30.0, burn_in=5.0, seed=41))
+        assert len(path.events) > 20
+        rebuilt = hg.IntensityPath.build(path.events, p.kernel, p.link, path.t_start, path.t_end)
+        assert rebuilt == path  # field by field, s_plus included
+        assert (len(path.s_plus) > 0) == (kind == "exponential")
+
     def test_config_validation(self):
         p = poisson_params()
         with pytest.raises(ParameterError):
@@ -131,6 +149,22 @@ class TestIntensityAt:
         path = hg.IntensityPath.build((1.0, 2.0), k, hg.LinearLink(1.0), 0.0, 10.0)
         # at t = 2.0 only the event at 1.0 counts
         assert hg.intensity_at(path, 2.0) == pytest.approx(1.0 + 0.5 * math.exp(-1.0))
+
+    @pytest.mark.parametrize("kind", KERNELS)
+    def test_left_and_right_limits(self, kind):
+        k = KERNELS[kind]
+        path = hg.IntensityPath.build((1.0, 2.0), k, hg.LinearLink(1.0), 0.0, 10.0)
+        assert path.excitation_before(2.0) == pytest.approx(k(1.0), rel=1e-15)
+        assert path.excitation_after(2.0) == pytest.approx(k(1.0) + k.jump, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "events", [(2.0, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, 10.5)],
+        ids=["unsorted", "nan", "at-start", "after-end"],
+    )
+    def test_build_rejects_bad_events(self, events):
+        k = hg.ExponentialKernel(1.0, 0.5)
+        with pytest.raises(ParameterError):
+            hg.IntensityPath.build(events, k, hg.LinearLink(1.0), 0.0, 10.0)
 
     def test_floor_at_phi0(self):
         p = hg.HawkesParams(hg.BoxKernel(0.5, 0.3), hg.TanhLink(1.2, 1.0))

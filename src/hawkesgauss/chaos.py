@@ -2,10 +2,13 @@
 delta(u) = sum_i u(T_i) - int u(t) lambda(t) dt, and its approximation with a
 constant rate estimate in place of lambda(t).
 
-The compensator integral is exact per inter-event segment for the
-linear/exponential pair and for piecewise-constant intensities (box kernels,
-zero kernels); elsewhere it falls back to composite Simpson with a
-step-halving error estimate.
+The compensator integral is cut into pieces at w's breakpoints, at events
+and at kernel expiries, and every piece of a path is integrated in one numpy
+pass: in closed form for the linear and the saturating-exp link on an
+exponential kernel (the latter through the exponential integral E1), and
+piecewise constant for box and zero kernels.  Only the tanh link and
+tabulated kernels, which have no closed form, fall back to composite Simpson
+per piece with a step-halving error estimate.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1
 
 from .bounds import intensity_bracket
 from .errors import ParameterError
@@ -24,6 +28,7 @@ from .model import (
     ExponentialKernel,
     HawkesParams,
     LinearLink,
+    SaturatingExpLink,
     TestFunction,
 )
 from .simulator import IntensityPath
@@ -47,19 +52,86 @@ class InnovationSample:
     lambda_hat: float | None = None
 
 
-def _segment_points(path: IntensityPath, a: float, b: float) -> list[float]:
-    """Boundaries inside (a, b) where the intensity is kinked or jumps:
-    event times, plus event expiry times for compactly supported kernels."""
+def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
+    """Ascending cuts of the support of w where w or the intensity jumps or
+    kinks: w's breakpoints, and the events inside the support, plus their
+    expiry times for compactly supported kernels."""
+    bp = np.asarray(w.breakpoints)
+    lo, hi = bp[0], bp[-1]
     events = np.asarray(path.events)
-    pts = set()
-    inside = events[(events > a) & (events < b)]
-    pts.update(inside.tolist())
-    k = path.kernel
-    if math.isfinite(k.support_end):
-        expiry = events + k.support_end
-        inside = expiry[(expiry > a) & (expiry < b)]
-        pts.update(inside.tolist())
-    return sorted(pts)
+    cuts = np.union1d(bp, events[(events > lo) & (events < hi)])
+    if math.isfinite(path.kernel.support_end):
+        expiry = events + path.kernel.support_end
+        cuts = np.union1d(cuts, expiry[(expiry > lo) & (expiry < hi)])
+    return cuts
+
+
+def _pieces(path: IntensityPath, w: TestFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(starts, ends, values of w) of the pieces between consecutive cuts on
+    which w is nonzero."""
+    cuts = _segment_points(path, w)
+    a, b = cuts[:-1], cuts[1:]
+    idx = np.searchsorted(np.asarray(w.breakpoints), a, side="right") - 1
+    v = np.asarray(w.values)[idx]
+    keep = v != 0.0
+    return a[keep], b[keep], v[keep]
+
+
+def _start_excitation(path: IntensityPath, a: np.ndarray) -> np.ndarray:
+    """Right limits S(a+) of an exponential kernel at the ascending times a:
+    s_plus of the last event at or before a, decayed to a."""
+    events = np.asarray(path.events)
+    if events.size == 0:
+        return np.zeros_like(a)
+    n = np.searchsorted(events, a, side="right")
+    last = np.maximum(n - 1, 0)
+    age = np.where(n > 0, a - events[last], np.inf)
+    return np.asarray(path.s_plus)[last] * np.exp(-path.kernel.rate * age)
+
+
+# Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 18 terms
+# reach rounding for z < 1
+_EIN_SERIES = np.array([(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1)])
+# pieces with rate * length below _SHORT take the 4-node Gauss-Legendre rule
+# on [-1, 1], whose truncation error there is below 1e-20 relative; nodes and
+# weights in closed form (numpy's leggauss would start LAPACK at import)
+_SHORT = 1e-2
+_GL_INNER, _GL_OUTER = (math.sqrt(3 / 7 + q * 2 / 7 * math.sqrt(6 / 5)) for q in (-1, 1))
+_GL_NODES = np.array([-_GL_OUTER, -_GL_INNER, _GL_INNER, _GL_OUTER])
+_GL_WEIGHTS = (18 + math.sqrt(30) * np.array([-1, 1, 1, -1])) / 36
+
+
+def _ein(z: np.ndarray) -> np.ndarray:
+    """Ein(z) = E1(z) + ln z + gamma for z >= 0, without cancellation: by its
+    series below 1, through E1 above."""
+    out = np.empty_like(z)
+    small = z < 1.0
+    out[small] = z[small] * np.polyval(_EIN_SERIES, z[small])
+    big = z[~small]
+    out[~small] = exp1(big) + np.log(big) + np.euler_gamma
+    return out
+
+
+def _saturating_excess(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """int_0^d (1 - exp(-c e^{-t})) dt for c, d >= 0, to rounding.
+
+    With y0 = c e^{-d} this is Ein(c) - Ein(y0) = d - (E1(y0) - E1(c)).  The
+    E1 form serves y0 >= 1, where both E1 values are small; Ein serves
+    y0 < 1, so c = 0 and an underflowing y0 need no E1 call.  Short pieces,
+    where either difference would cancel, take Gauss-Legendre nodes.
+    """
+    out = np.empty_like(c)
+    short = d < _SHORT
+    half = 0.5 * d[short]
+    t = half[:, None] * (1.0 + _GL_NODES)
+    f = -np.expm1(-c[short, None] * np.exp(-t))
+    out[short] = (f * _GL_WEIGHTS).sum(axis=1) * half
+    y0 = c * np.exp(-d)
+    far = ~short & (y0 >= 1.0)
+    out[far] = d[far] - (exp1(y0[far]) - exp1(c[far]))
+    near = ~short & (y0 < 1.0)
+    out[near] = _ein(c[near]) - _ein(y0[near])
+    return out
 
 
 def _simpson_pair(fvals: np.ndarray, h2: float) -> tuple[float, float]:
@@ -78,35 +150,52 @@ def _simpson_pair(fvals: np.ndarray, h2: float) -> tuple[float, float]:
     return i_fine, abs(i_fine - i_coarse) / 15.0
 
 
-def _integrate_intensity(path: IntensityPath, a: float, b: float, h_quad: float) -> tuple[float, float]:
-    """Integral of lambda over (a, b) containing no events, expiries, or
-    weight breakpoints in its interior; returns (value, error_estimate)."""
-    length = b - a
-    if length <= 0:
-        return 0.0, 0.0
+def _piece_integrals(
+    path: IntensityPath, a: np.ndarray, b: np.ndarray, h_quad: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of lambda over the pieces (a[i], b[i]), none containing an
+    event or expiry in its interior, with their error estimates."""
     kernel, link = path.kernel, path.link
+    length = b - a
+    exact = np.zeros_like(length)
 
     if kernel.l1_norm() == 0 or isinstance(kernel, BoxKernel):
-        # excitation constant on the segment interior; evaluate away from the
-        # endpoints so events/expiries sitting exactly on a cut cannot leak in
-        s_mid = path.excitation_before(0.5 * (a + b))
-        return float(link(s_mid)) * length, 0.0
+        # excitation constant on the piece interior: count the events before
+        # the midpoint and within the support, so that events and expiries
+        # sitting exactly on a cut cannot leak in
+        events = np.asarray(path.events)
+        mid = 0.5 * (a + b)
+        count = np.searchsorted(events, mid, "left") - np.searchsorted(
+            events, mid - kernel.support_end, "left"
+        )
+        return link(count * kernel.jump) * length, exact
 
-    if isinstance(kernel, ExponentialKernel) and isinstance(link, LinearLink):
-        # int (nu + s_a e^{-rate u}) du in closed form
-        rate = kernel.rate
-        s_a = path.excitation_after(a)
-        return link.nu * length + s_a * (1.0 - math.exp(-rate * length)) / rate, 0.0
-
-    n = max(8, math.ceil(length / h_quad))
-    n += n % 2
-    h2 = length / (2 * n)
-    u = np.arange(2 * n + 1) * h2
     if isinstance(kernel, ExponentialKernel):
-        s = path.excitation_after(a) * np.exp(-kernel.rate * u)
-    else:
-        s = path._excitation_grid(a + u)
-    return _simpson_pair(np.asarray(link(s), dtype=float), h2)
+        rate = kernel.rate
+        s_a = _start_excitation(path, a)
+        if isinstance(link, LinearLink):
+            # int (nu + s_a e^{-rate u}) du
+            return link.nu * length - s_a * np.expm1(-rate * length) / rate, exact
+        if isinstance(link, SaturatingExpLink):
+            # int (cap - s exp(-(s_a/s) e^{-rate u})) du with s = cap - nu
+            s = link.cap - link.nu
+            excess = _saturating_excess(s_a / s, rate * length)
+            return link.nu * length + s * excess / rate, exact
+
+    # no closed form: composite Simpson per piece
+    vals = np.empty_like(length)
+    errs = np.empty_like(length)
+    for i, (lo, span) in enumerate(zip(a.tolist(), length.tolist())):
+        n = max(8, math.ceil(span / h_quad))
+        n += n % 2
+        h2 = span / (2 * n)
+        u = np.arange(2 * n + 1) * h2
+        if isinstance(kernel, ExponentialKernel):
+            s = s_a[i] * np.exp(-kernel.rate * u)
+        else:
+            s = path._excitation_grid(lo + u)
+        vals[i], errs[i] = _simpson_pair(np.asarray(link(s), dtype=float), h2)
+    return vals, errs
 
 
 def weighted_intensity_integral(
@@ -115,19 +204,9 @@ def weighted_intensity_integral(
     h_quad: float = DEFAULT_QUAD_STEP,
 ) -> tuple[float, float]:
     """int w(t) lambda(t) dt over the support of the step function w."""
-    total = 0.0
-    err = 0.0
-    bp = w.breakpoints
-    for i, v in enumerate(w.values):
-        if v == 0.0:
-            continue
-        a, b = bp[i], bp[i + 1]
-        cuts = [a] + _segment_points(path, a, b) + [b]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            piece, e = _integrate_intensity(path, lo, hi, h_quad)
-            total += v * piece
-            err += abs(v) * e
-    return total, err
+    a, b, v = _pieces(path, w)
+    vals, errs = _piece_integrals(path, a, b, h_quad)
+    return float(np.sum(v * vals)), float(np.sum(np.abs(v) * errs))
 
 
 def _check_support(u: TestFunction, stream: EventStream) -> None:
@@ -224,7 +303,8 @@ def intensity_moment_integrals(
     h_quad: float = DEFAULT_QUAD_STEP,
 ) -> tuple[float, float]:
     """Pathwise (int u^2 lambda dt, int |u|^3 lambda dt), the Monte Carlo
-    inputs of the resolvent-majorant bound."""
-    m2, _ = weighted_intensity_integral(path, u.squared(), h_quad)
-    m3, _ = weighted_intensity_integral(path, u.abs_power(3.0), h_quad)
-    return m2, m3
+    inputs of the resolvent-majorant bound; the pieces of u are integrated
+    once for both."""
+    a, b, v = _pieces(path, u)
+    vals, _ = _piece_integrals(path, a, b, h_quad)
+    return float(np.sum(v * v * vals)), float(np.sum(np.abs(v) ** 3.0 * vals))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -133,21 +134,31 @@ class TabulatedKernel:
             raise ParameterError("kernel values must be nonnegative")
         object.__setattr__(self, "values", vals)
 
-    def _grid(self):
-        return np.arange(len(self.values)) * self.step
+    @cached_property
+    def _array(self) -> np.ndarray:
+        """The grid values as a read-only array, built once per kernel."""
+        arr = np.asarray(self.values)
+        arr.setflags(write=False)
+        return arr
+
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """The grid nodes 0, step, ..., K*step, read-only, built once per kernel."""
+        grid = np.arange(len(self.values)) * self.step
+        grid.setflags(write=False)
+        return grid
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
-        vals = np.asarray(self.values)
-        out = np.interp(t, self._grid(), vals, left=0.0, right=0.0)
+        out = np.interp(t, self._grid, self._array, left=0.0, right=0.0)
         out = np.where((t > 0) & (t <= self.support_end), out, 0.0)
         return out if out.ndim else float(out)
 
     def l1_norm(self) -> float:
-        return float(np.trapezoid(np.asarray(self.values), dx=self.step))
+        return float(np.trapezoid(self._array, dx=self.step))
 
     def l2_norm(self) -> float:
-        v = np.asarray(self.values)
+        v = self._array
         a, b = v[:-1], v[1:]
         # exact integral of the squared linear interpolant per cell
         sq = self.step * np.sum(a * a + a * b + b * b) / 3.0
@@ -163,7 +174,7 @@ class TabulatedKernel:
 
     @property
     def is_nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(np.asarray(self.values)) <= 0))
+        return bool(np.all(np.diff(self._array) <= 0))
 
 
 Kernel = Union[ExponentialKernel, BoxKernel, TabulatedKernel]

@@ -11,6 +11,16 @@ from hawkesgauss.errors import ParameterError
 from hawkesgauss.experiments import replicate_innovations
 
 
+def event_cut_oracle(path, lo, hi):
+    """int lambda over (lo, hi] by adaptive quadrature through intensity_at,
+    cut at the events, where the intensity jumps."""
+    pts = sorted({lo, hi, *(t for t in path.events if lo < t < hi)})
+    return sum(
+        quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
+        for a, b in zip(pts[:-1], pts[1:])
+    )
+
+
 def poisson_path(events, nu=1.0, t_end=1.0):
     kernel = hg.ExponentialKernel(1.0, 0.0)
     path = hg.IntensityPath.build(events, kernel, hg.LinearLink(nu), 0.0, t_end)
@@ -58,19 +68,24 @@ class TestFirstChaos:
         assert val == pytest.approx(oracle, abs=1e-8)
 
     def test_simpson_branch_matches_oracle(self):
-        # nonlinear link forces the quadrature branch
-        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0))
+        # the tanh link has no closed form, so it takes the quadrature branch
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
         val, err = weighted_intensity_integral(path, u)
         assert err > 0.0
-        pts = sorted({0.0, 10.0, *(t for t in path.events if 0.0 < t < 10.0)})
-        oracle = sum(
-            quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
-            for a, b in zip(pts[:-1], pts[1:])
-        )
-        assert val == pytest.approx(oracle, abs=1e-7)
+        assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-7)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_saturating_closed_form_matches_oracle(self, seed):
+        # saturating-exp link on an exponential kernel: closed form through E1
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0))
+        stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=seed))
+        u = hg.TestFunction((0.0, 10.0), (1.0,))
+        val, err = weighted_intensity_integral(path, u)
+        assert err == 0.0
+        assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-10)
 
     @pytest.mark.parametrize(
         "link", [hg.LinearLink(1.0), hg.SaturatingExpLink(1.0, 3.0)], ids=["linear", "saturating"]
@@ -118,7 +133,7 @@ class TestFirstChaos:
             hg.first_chaos(stream, path, hg.TestFunction((0.0, 2.0), (1.0,)))
 
     def test_quadrature_error_flagged_not_fatal(self):
-        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0))
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
         with pytest.warns(UserWarning, match="quadrature error"):
@@ -145,6 +160,50 @@ class TestFirstChaos:
             ddof=1
         ) / math.sqrt(reps.delta.size)
         assert abs(var - target) < tol
+
+
+def tight_quad(f, a, b, points=None):
+    val, _ = quad(f, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
+    return val
+
+
+class TestSaturatingClosedForm:
+    """The E1 closed form stays finite and exact where its terms over- or
+    underflow: c = s_a/(cap - nu) at 0 or tiny, and rate * length tiny or huge."""
+
+    LINK = hg.SaturatingExpLink(1.0, 3.0)
+
+    def test_fast_kernel_long_quiet_segment(self):
+        # c e^{-rL} underflows to 0: E1 of it would be infinite
+        kernel = hg.ExponentialKernel(rate=100.0, mass=0.5)
+        path = hg.IntensityPath.build((1.0,), kernel, self.LINK, 0.0, 30.0)
+        u = hg.TestFunction((0.0, 30.0), (1.0,))
+        val, err = weighted_intensity_integral(path, u)
+        assert err == 0.0
+        f = lambda t: hg.intensity_at(path, t)
+        oracle = tight_quad(f, 0.0, 1.0) + tight_quad(f, 1.0, 30.0, points=[1.01, 1.05, 1.2, 2.0])
+        assert math.isfinite(val)
+        assert abs(val - oracle) <= 1e-12 * oracle
+
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 50.0])
+    @pytest.mark.parametrize("rl", [1e-12, 1.0, 800.0])
+    def test_piece_matches_quad(self, c, rl):
+        # one piece (0, L] at rate 1 whose start excitation is c * (cap - nu):
+        # an event at 0 of that jump, or for c = 0 no event before the piece
+        s = self.LINK.cap - self.LINK.nu
+        if c > 0.0:
+            kernel = hg.ExponentialKernel(rate=1.0, mass=c * s)
+            events = (0.0,)
+        else:
+            kernel = hg.ExponentialKernel(rate=1.0, mass=0.5)
+            events = (rl,)
+        path = hg.IntensityPath.build(events, kernel, self.LINK, -1.0, rl)
+        u = hg.TestFunction((0.0, rl), (1.0,))
+        val, err = weighted_intensity_integral(path, u)
+        assert err == 0.0
+        points = [p for p in (1.0, 2.0, 4.0, 8.0, 16.0, 40.0) if p < rl] or None
+        oracle = tight_quad(lambda t: hg.intensity_at(path, t), 0.0, rl, points)
+        assert abs(val - oracle) <= 1e-12 * oracle
 
 
 class TestApproxFirstChaos:
@@ -202,6 +261,28 @@ class TestApproxFirstChaos:
 
 
 class TestMomentIntegrals:
+    @pytest.mark.parametrize(
+        "kernel, link",
+        [
+            (hg.ExponentialKernel(1.0, 0.4), hg.LinearLink(1.0)),
+            (hg.ExponentialKernel(1.0, 0.4), hg.SaturatingExpLink(1.0, 3.0)),
+            (hg.ExponentialKernel(1.0, 0.4), hg.TanhLink(1.0, 2.0)),
+            (hg.BoxKernel(1.0, 0.4), hg.SaturatingExpLink(1.0, 3.0)),
+        ],
+        ids=["linear-exp", "saturating-exp", "tanh-exp", "saturating-box"],
+    )
+    def test_one_pass_equals_two_integrals(self, kernel, link):
+        # the moments share one set of piece integrals; they must equal the
+        # integrals of u^2 and |u|^3 taken on their own
+        p = hg.HawkesParams(kernel, link)
+        stream, path = hg.simulate(hg.SimConfig(p, 12.0, burn_in=2.0, seed=43))
+        u = hg.TestFunction((0.0, 2.5, 4.0, 7.0, 12.0), (0.8, -1.5, 0.0, -0.3))
+        m2, m3 = hg.intensity_moment_integrals(path, u)
+        assert m2 == pytest.approx(weighted_intensity_integral(path, u.squared())[0], abs=1e-12)
+        assert m3 == pytest.approx(
+            weighted_intensity_integral(path, u.abs_power(3.0))[0], abs=1e-12
+        )
+
     def test_against_quadrature(self):
         p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.4), hg.LinearLink(1.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=2))

@@ -72,6 +72,16 @@ class TestKernels:
         assert hg.TabulatedKernel(0.1, (1.0, 0.8, 0.8, 0.2)).is_nonincreasing
         assert not hg.TabulatedKernel(0.1, (0.2, 0.8, 0.1)).is_nonincreasing
 
+    def test_tabulated_arrays_built_once_and_read_only(self):
+        k = hg.TabulatedKernel(0.25, (0.6, 0.5, 0.4, 0.1))
+        k(np.linspace(0.0, 1.0, 9))
+        assert k._array is k._array and k._grid is k._grid
+        np.testing.assert_array_equal(k._grid, [0.0, 0.25, 0.5, 0.75])
+        for arr in (k._array, k._grid):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert k(0.125) == pytest.approx(0.55)
+
     def test_validation(self):
         with pytest.raises(ParameterError):
             hg.ExponentialKernel(rate=0.0, mass=0.5)

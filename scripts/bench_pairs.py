@@ -1,7 +1,7 @@
 """Paired before/after benchmark of two checkouts, written as one JSON file.
 
-    python3 scripts/bench_pairs.py --base ../parent --head . --seeds 101-106 \
-        --seconds 10 --trace-workload preset-saturating --c09 --out BENCH_5.json
+    python3 scripts/bench_pairs.py --base ../parent --head . --seeds 101-110 \
+        --seconds 30 --trace-workload preset-saturating --c09 --out BENCH_5.json
 
 For every workload and seed, ``benchmarks/run.py --trace 0`` runs once in
 each checkout, one after the other, with the base first on odd seeds and the
@@ -108,9 +108,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout measured as 'before'")
     ap.add_argument("--head", type=Path, required=True, help="checkout measured as 'after'")
-    ap.add_argument("--seeds", type=seed_range, default=seed_range("101-106"))
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
+    ap.add_argument("--seeds", type=seed_range, default=seed_range("101-110"))
+    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--trace-workload", choices=WORKLOADS)
     ap.add_argument("--c09", action="store_true", help="also time the c09 acceptance test")
     ap.add_argument("--out", type=Path, required=True)
@@ -126,7 +125,7 @@ def main(argv=None) -> int:
         "base": git_version(base),
         "head": git_version(head),
         "end_to_end": {w: paired(base, head, w, args.seeds, args.seconds, 0, END_TO_END)
-                       for w in args.workloads},
+                       for w in WORKLOADS},
     }
     if args.trace_workload:
         result["per_layer"] = {args.trace_workload: paired(

@@ -1,14 +1,14 @@
 """Paired before/after benchmark of two checkouts, written as one JSON file.
 
-    python3 scripts/bench_pairs.py --base ../parent --head . --seeds 101-110 \
-        --seconds 30 --trace-workload preset-saturating --c09 --out BENCH_5.json
+    python3 scripts/bench_pairs.py --base ../parent --head . --out BENCH_5.json
 
-For every workload and seed, ``benchmarks/run.py --trace 0`` runs once in
-each checkout, one after the other, with the base first on odd seeds and the
-head first on even ones, so that slow drifts of the machine's load hit both
-sides alike.  The file keeps every run's end-to-end metrics and their medians.
-``--trace-workload`` adds ``--trace 1`` runs of one workload on the same
-seeds (per-layer metrics), and ``--c09`` times the c09 acceptance test once
+For every workload and each of the held-out seeds 101-110,
+``benchmarks/run.py --trace 0`` runs once in each checkout at the
+benchmark's own run length, one after the other, with the base first on odd
+seeds and the head first on even ones, so that slow drifts of the machine's
+load hit both sides alike.  The file keeps every run's end-to-end metrics and
+their medians.  ``--trace 1`` runs of ``preset-saturating`` on the same seeds
+add the per-layer chaos metrics, and the c09 acceptance test is timed once
 per checkout.  Each checkout runs its own ``benchmarks/`` on its own ``src/``.
 """
 
@@ -24,7 +24,10 @@ import sys
 import time
 from pathlib import Path
 
+SEEDS = range(101, 111)
+SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("preset-linear", "preset-saturating", "analytic")
+TRACED = "preset-saturating"
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 LAYER_METRICS = (
     "chaos.first_chaos.ms_per_path_p50",
@@ -34,27 +37,22 @@ LAYER_METRICS = (
 )
 
 
-def seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """The JSON line of one ``benchmarks/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     out = json.loads(done.stdout.strip().splitlines()[-1])
     return {"failed": out["failed"], "attempted": out["attempted"], "correct": out["correct"],
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
 
 
-def paired(base: Path, head: Path, workload: str, seeds, seconds, trace, names) -> dict:
+def paired(base: Path, head: Path, workload: str, trace: int, names) -> dict:
     runs = {"base": [], "head": []}
-    for seed in seeds:
+    for seed in SEEDS:
         order = ("base", "head") if seed % 2 else ("head", "base")
         for side in order:
-            res = run_bench(base if side == "base" else head, workload, seed, seconds, trace)
+            res = run_bench(base if side == "base" else head, workload, seed, trace)
             runs[side].append({"seed": seed, **res})
             print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{n}={res['metrics'].get(n)}" for n in names), file=sys.stderr)
@@ -108,10 +106,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout measured as 'before'")
     ap.add_argument("--head", type=Path, required=True, help="checkout measured as 'after'")
-    ap.add_argument("--seeds", type=seed_range, default=seed_range("101-110"))
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--trace-workload", choices=WORKLOADS)
-    ap.add_argument("--c09", action="store_true", help="also time the c09 acceptance test")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
@@ -119,19 +113,15 @@ def main(argv=None) -> int:
     result = {
         "machine": machine(),
         "protocol": {"command": "python3 benchmarks/run.py --workload W --seed S "
-                                f"--seconds {args.seconds:g} --trace T",
-                     "seeds": args.seeds,
+                                f"--seconds {SECONDS} --trace T",
+                     "seeds": list(SEEDS),
                      "order": "alternating: base first on odd seeds, head first on even"},
         "base": git_version(base),
         "head": git_version(head),
-        "end_to_end": {w: paired(base, head, w, args.seeds, args.seconds, 0, END_TO_END)
-                       for w in WORKLOADS},
+        "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},
+        "per_layer": {TRACED: paired(base, head, TRACED, 1, LAYER_METRICS)},
+        "c09": {"base": time_c09(base), "head": time_c09(head)},
     }
-    if args.trace_workload:
-        result["per_layer"] = {args.trace_workload: paired(
-            base, head, args.trace_workload, args.seeds, args.seconds, 1, LAYER_METRICS)}
-    if args.c09:
-        result["c09"] = {"base": time_c09(base), "head": time_c09(head)}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -77,18 +77,6 @@ def _pieces(path: IntensityPath, w: TestFunction) -> tuple[np.ndarray, np.ndarra
     return a[keep], b[keep], v[keep]
 
 
-def _start_excitation(path: IntensityPath, a: np.ndarray) -> np.ndarray:
-    """Right limits S(a+) of an exponential kernel at the ascending times a:
-    s_plus of the last event at or before a, decayed to a."""
-    events = np.asarray(path.events)
-    if events.size == 0:
-        return np.zeros_like(a)
-    n = np.searchsorted(events, a, side="right")
-    last = np.maximum(n - 1, 0)
-    age = np.where(n > 0, a - events[last], np.inf)
-    return np.asarray(path.s_plus)[last] * np.exp(-path.kernel.rate * age)
-
-
 # Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 18 terms
 # reach rounding for z < 1
 _EIN_SERIES = np.array([(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(18, 0, -1)])
@@ -160,19 +148,13 @@ def _piece_integrals(
     exact = np.zeros_like(length)
 
     if kernel.l1_norm() == 0 or isinstance(kernel, BoxKernel):
-        # excitation constant on the piece interior: count the events before
-        # the midpoint and within the support, so that events and expiries
-        # sitting exactly on a cut cannot leak in
-        events = np.asarray(path.events)
-        mid = 0.5 * (a + b)
-        count = np.searchsorted(events, mid, "left") - np.searchsorted(
-            events, mid - kernel.support_end, "left"
-        )
-        return link(count * kernel.jump) * length, exact
+        # excitation constant on the piece interior: take it at the midpoint,
+        # so that events and expiries sitting exactly on a cut cannot leak in
+        return link(path._excitation_at(0.5 * (a + b), "left")) * length, exact
 
     if isinstance(kernel, ExponentialKernel):
         rate = kernel.rate
-        s_a = _start_excitation(path, a)
+        s_a = path._excitation_at(a, "right")
         if isinstance(link, LinearLink):
             # int (nu + s_a e^{-rate u}) du
             return link.nu * length - s_a * np.expm1(-rate * length) / rate, exact

@@ -7,8 +7,9 @@ links nondecreasing, so the intensity only decays between events.
 The excitation state is the event list plus, for exponential kernels, the
 right limits ``s_plus`` after each event.  One append step records it, one
 evaluator reads S(t) from it and one window sum serves compactly supported
-kernels; thinning, ``IntensityPath`` and the compensator quadrature in
-``chaos`` all go through them, so the compensator integrates the intensity
+kernels; thinning and ``IntensityPath`` go through them, and
+``IntensityPath._excitation_at``, their form for many times at once, serves
+the compensator in ``chaos``, so the compensator integrates the intensity
 that drew the events.
 
 ``embedding_simulate`` is a small-scale cross-validator that runs the literal
@@ -219,6 +220,29 @@ class IntensityPath:
         """Right limit S(t+), counting an event at t with weight h(0+)."""
         n = bisect_right(self.events, t)
         return _excitation(self.kernel, self.events, self.s_plus, t, n)
+
+    def _excitation_at(self, ts: np.ndarray, side: str) -> np.ndarray:
+        """S at each of the ascending times ``ts``: the left limit S(t) for
+        side="left", the right limit S(t+) for side="right", as
+        ``excitation_before`` and ``excitation_after`` give them one by one."""
+        kernel = self.kernel
+        events = np.asarray(self.events)
+        n = np.searchsorted(events, ts, side)
+        if isinstance(kernel, ExponentialKernel):
+            if events.size == 0:
+                return np.zeros_like(ts)
+            last = np.maximum(n - 1, 0)
+            age = np.where(n > 0, ts - events[last], np.inf)
+            return np.asarray(self.s_plus)[last] * np.exp(-kernel.rate * age)
+        if isinstance(kernel, BoxKernel):
+            # the window of _excitation: events in [t - support_end, t), or
+            # up to t for the right limit
+            lo = np.searchsorted(events, ts - kernel.support_end, "left")
+            return (n - lo) * kernel.jump
+        return np.array([
+            _excitation(kernel, self.events, self.s_plus, t, k)
+            for t, k in zip(ts.tolist(), n.tolist())
+        ])
 
     def _excitation_grid(self, ts: np.ndarray) -> np.ndarray:
         """S at the ascending times ``ts`` from the events up to ts[0], one at

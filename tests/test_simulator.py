@@ -157,6 +157,19 @@ class TestIntensityAt:
         assert path.excitation_before(2.0) == pytest.approx(k(1.0), rel=1e-15)
         assert path.excitation_after(2.0) == pytest.approx(k(1.0) + k.jump, rel=1e-15)
 
+    @pytest.mark.parametrize("kind", KERNELS)
+    @pytest.mark.parametrize("events", [(), (1.0, 2.0, 2.5)], ids=["empty", "three"])
+    def test_many_times_match_one_at_a_time(self, kind, events):
+        # the compensator reads both limits at all piece cuts at once: at,
+        # between and after events, and at box expiries (2.5, 3.5, 4.0)
+        k = KERNELS[kind]
+        path = hg.IntensityPath.build(events, k, hg.LinearLink(1.0), 0.0, 10.0)
+        ts = np.array([0.5, 1.0, 1.7, 2.0, 2.5, 3.5, 3.9, 4.0, 9.0])
+        left = [path.excitation_before(t) for t in ts]
+        right = [path.excitation_after(t) for t in ts]
+        np.testing.assert_allclose(path._excitation_at(ts, "left"), left, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(path._excitation_at(ts, "right"), right, rtol=1e-15, atol=0)
+
     @pytest.mark.parametrize(
         "events", [(2.0, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, 10.5)],
         ids=["unsorted", "nan", "at-start", "after-end"],

@@ -209,6 +209,8 @@ def parse_config(text: str) -> RunConfig:
     seed = _int("sim", "seed", sim.require("seed"))
     reps_raw = sim.optional("reps")
     reps = 10000 if reps_raw is None else _int("sim", "reps", reps_raw)
+    if reps < 1:
+        raise ConfigError(f"[sim] reps must be >= 1, got {reps}")
     mode_raw = sim.optional("mode")
     mode = "rplus" if mode_raw is None else mode_raw.strip().lower()
     if mode not in MODES:

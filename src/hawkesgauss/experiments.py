@@ -15,9 +15,12 @@ from .bounds import (
     compare_conditions,
     evaluate_all,
 )
+from ._lockstep import lockstep_sums
 from .chaos import (
     DEFAULT_QUAD_STEP,
+    _has_closed_form,
     approx_first_chaos,
+    default_lambda_hat,
     first_chaos,
     intensity_moment_integrals,
 )
@@ -81,7 +84,34 @@ def replicate_innovations(
 ) -> ReplicationSet:
     """Simulate ``n_reps`` independent paths and compute both innovations on
     each.  Replication k uses the stream keyed by (seed, k), so results do not
-    depend on execution order."""
+    depend on execution order.
+
+    Exponential kernels with the linear or the saturating-exp link take the
+    lockstep engine, which thins all paths at once and integrates the
+    compensator in closed form as it goes, so ``h_quad`` is unused there;
+    box and tabulated kernels and the tanh link run ``simulate`` and
+    ``first_chaos`` path by path.  Both give the same numbers to rounding.
+    """
+    if n_reps < 1:
+        raise ParameterError(f"need at least 1 replication, got {n_reps}")
+    # the typed errors of SimConfig for t_end, burn_in and seed
+    SimConfig(params=params, t_end=t_end, burn_in=burn_in, seed=seed, replication=n_reps - 1)
+    if _has_closed_form(params.kernel, params.link):
+        event_sum, integrals = lockstep_sums(
+            params, u, t_end, burn_in, n_reps, seed, collect_moments
+        )
+        compensator = integrals[0]
+        lam_hat = default_lambda_hat(params)
+        return ReplicationSet(
+            delta=event_sum - compensator,
+            event_sum=event_sum,
+            compensator=compensator,
+            quad_err=np.zeros(n_reps),
+            delta_approx=event_sum - lam_hat * u.integral(),
+            lambda_hat=lam_hat,
+            u2_lambda=integrals[1] if collect_moments else None,
+            u3_lambda=integrals[2] if collect_moments else None,
+        )
     delta = np.empty(n_reps)
     event_sum = np.empty(n_reps)
     compensator = np.empty(n_reps)
@@ -237,6 +267,8 @@ def run_bound_vs_empirical(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             ) from None
     params, u = preset.params, preset.u
+    if n_reps < 2:
+        raise ParameterError(f"need at least 2 replications for the distances, got {n_reps}")
 
     reports = list(evaluate_all(params, u, stationary=preset.stationary))
     reps = replicate_innovations(

@@ -1,6 +1,6 @@
 """Event-stream generation.
 
-``simulate`` is the production engine: Ogata-style thinning with a per-event
+``simulate`` thins one path: Ogata-style thinning with a per-event
 dominating rate, valid because the built-in kernels are nonincreasing and the
 links nondecreasing, so the intensity only decays between events.
 
@@ -11,6 +11,10 @@ kernels; thinning and ``IntensityPath`` go through them, and
 ``IntensityPath._excitation_at``, their form for many times at once, serves
 the compensator in ``chaos``, so the compensator integrates the intensity
 that drew the events.
+
+Candidate j of replication k reads uniforms 2j and 2j + 1 of
+``rng_for(seed, k).random()`` (``_candidate_draws``); the lockstep engine in
+``_lockstep`` reads the same layout for many paths at once.
 
 ``embedding_simulate`` is a small-scale cross-validator that runs the literal
 iterative construction driven by one shared planar Poisson field, truncated
@@ -62,6 +66,38 @@ def rng_for(seed: int, replication: int) -> np.random.Generator:
     execution orders see identical draws."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication),))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _block_size(n_paths: int) -> int:
+    """Uniforms read from a path's stream at a time when ``n_paths`` paths
+    are thinned together: about 2**14 over all paths (128 kB), 64 to 256 per
+    path, an even count so that no candidate's pair straddles two blocks.
+    The draws do not depend on it."""
+    return 2 * min(128, max(32, 2**13 // n_paths))
+
+
+def _candidate_draws(rng: np.random.Generator, block: int):
+    """The thinning stream layout: candidate j of a path reads uniforms 2j
+    (its waiting time, -log1p(-U) / rate) and 2j + 1 (its acceptance test)
+    of ``rng.random()``, taken ``block`` at a time."""
+    while True:
+        draws = iter(rng.random(block).tolist())
+        yield from zip(draws, draws)
+
+
+# relative slack of the envelope check: a candidate's intensity may exceed
+# the dominating rate by rounding only
+_ENVELOPE_SLACK = 1e-9
+
+
+def _rate_error(lam_bar: float, t: float) -> SimulationError:
+    return SimulationError(f"dominating rate {lam_bar} <= 0 at t={t}", time=t)
+
+
+def _envelope_error(lam_cand: float, lam_bar: float, t: float) -> SimulationError:
+    return SimulationError(
+        f"candidate intensity {lam_cand} exceeds dominating rate {lam_bar} at t={t}", time=t
+    )
 
 
 def default_burn_in(params: HawkesParams, tail_fraction: float = 1e-4) -> float:
@@ -125,7 +161,7 @@ def simulate(
         )
     envelope = dominating_rate if dominating_rate is not None else link
 
-    rng = rng_for(cfg.seed, cfg.replication)
+    draws = _candidate_draws(rng_for(cfg.seed, cfg.replication), _block_size(1))
     t_start = -cfg.burn_in
     t = t_start
     events: list[float] = []
@@ -136,18 +172,15 @@ def simulate(
     while True:
         lam_bar = float(envelope(_excitation(kernel, events, s_plus, t, len(events))))
         if lam_bar <= 0:
-            raise SimulationError(f"dominating rate {lam_bar} <= 0 at t={t}", time=t)
-        t_cand = t + rng.exponential(1.0 / lam_bar)
+            raise _rate_error(lam_bar, t)
+        u_wait, u_accept = next(draws)
+        t_cand = t - math.log1p(-u_wait) / lam_bar
         if t_cand > cfg.t_end:
             break
         lam_cand = float(link(_excitation(kernel, events, s_plus, t_cand, len(events))))
-        if lam_cand > lam_bar * (1.0 + 1e-9):
-            raise SimulationError(
-                f"candidate intensity {lam_cand} exceeds dominating rate {lam_bar} "
-                f"at t={t_cand}",
-                time=t_cand,
-            )
-        if rng.random() * lam_bar <= lam_cand:
+        if lam_cand > lam_bar * (1.0 + _ENVELOPE_SLACK):
+            raise _envelope_error(lam_cand, lam_bar, t_cand)
+        if u_accept * lam_bar <= lam_cand:
             _append_event(kernel, events, s_plus, t_cand)
         t = t_cand
 

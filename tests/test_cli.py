@@ -123,6 +123,11 @@ seed = 3
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("reps", ["0", "-5"])
+    def test_reps_below_one_rejected(self, reps):
+        with pytest.raises(ConfigError):
+            parse_config(LINEAR_CONFIG.replace("reps = 100", f"reps = {reps}"))
+
 
 class TestCommands:
     def write(self, tmp_path, text, name="run.ini"):
@@ -235,6 +240,14 @@ seed = 1
         samples = (tmp_path / "samples_poisson.csv").read_text().splitlines()
         assert samples[1] == "replication,delta,event_sum,compensator,quad_err"
         assert len(samples) == 402
+
+    @pytest.mark.parametrize("reps", ["-5", "1"])
+    def test_experiment_bound_vs_empirical_too_few_reps_exits_2(self, tmp_path, capsys, reps):
+        text = LINEAR_CONFIG + "\n[experiment]\nname = bound-vs-empirical\npreset = poisson\n"
+        cfg = self.write(tmp_path, text)
+        rc = main(["experiment", "--config", cfg, "--out", str(tmp_path), "--reps", reps])
+        assert rc == 2
+        assert "replications" in capsys.readouterr().err
 
     def test_ci_beta_out_of_range_exits_2(self, tmp_path):
         cfg = self.write(tmp_path, LINEAR_CONFIG)

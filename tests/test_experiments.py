@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import hawkesgauss as hg
-from hawkesgauss.errors import ParameterError
+from hawkesgauss import _lockstep, experiments
+from hawkesgauss.chaos import approx_first_chaos, first_chaos, intensity_moment_integrals
+from hawkesgauss.errors import ParameterError, SimulationError
 from hawkesgauss.experiments import (
     PRESETS,
     check_ks_w1,
@@ -54,6 +56,134 @@ class TestReplicateInnovations:
         # unit-rate Poisson with the unit indicator: both moments are exactly 1
         assert np.allclose(reps.u2_lambda, 1.0)
         assert np.allclose(reps.u3_lambda, 1.0)
+
+
+def lockstep_cases():
+    """(name, params, u, t_end, burn_in) of the batch path: two presets and a
+    signed multi-step u on a saturating link."""
+    cases = [
+        (name, PRESETS[name].params, PRESETS[name].u, PRESETS[name].t_end, PRESETS[name].burn_in)
+        for name in ("linear", "saturating")
+    ]
+    p = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.6), hg.SaturatingExpLink(1.0, 2.5))
+    u = hg.TestFunction((1.0, 2.5, 4.0, 7.0, 9.5), (0.7, -1.2, 0.0, 2.0))
+    cases.append(("signed_steps", p, u, 10.0, 3.0))
+    return cases
+
+
+def bad_link(link_cls, *args):
+    """A link whose phi(0) = nu is -1, past its own validation."""
+    link = link_cls(*args)
+    object.__setattr__(link, "nu", -1.0)
+    return link
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("name,params,u,t_end,burn_in", lockstep_cases())
+    def test_matches_simulate_per_path(self, name, params, u, t_end, burn_in, monkeypatch):
+        n, seed = 25, 31
+        ref = np.empty((6, n))
+        for k in range(n):
+            stream, path = hg.simulate(hg.SimConfig(params, t_end, burn_in, seed, k))
+            s = first_chaos(stream, path, u)
+            ref[:3, k] = s.value, s.event_sum, s.compensator
+            ref[3:5, k] = intensity_moment_integrals(path, u)
+            ref[5, k] = approx_first_chaos(stream, u, params).value
+
+        def per_path(*args, **kwargs):
+            raise AssertionError("the batch path must not call simulate")
+
+        monkeypatch.setattr(experiments, "simulate", per_path)
+        reps = replicate_innovations(params, u, t_end, burn_in, n, seed, collect_moments=True)
+        got = [reps.delta, reps.event_sum, reps.compensator, reps.u2_lambda, reps.u3_lambda,
+               reps.delta_approx]
+        # relative to each quantity's largest value over the replications: a
+        # delta or a signed event sum near 0 has no relative precision of its own
+        for g, r in zip(got, ref):
+            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r)))
+        assert np.all(reps.quad_err == 0.0)
+
+    @pytest.mark.parametrize("knob,values", [("_block_size", (2, 10, 500)), ("_CHUNK", (1, 7, 40))])
+    def test_blocks_and_chunks_do_not_change_numbers(self, knob, values, monkeypatch):
+        name, params, u, t_end, burn_in = lockstep_cases()[2]
+        ref = replicate_innovations(params, u, t_end, burn_in, 40, seed=5, collect_moments=True)
+        for value in values:
+            if knob == "_block_size":
+                value = lambda n_paths, b=value: b  # noqa: E731
+            monkeypatch.setattr(_lockstep, knob, value)
+            got = replicate_innovations(params, u, t_end, burn_in, 40, seed=5, collect_moments=True)
+            for field in ("delta", "event_sum", "compensator", "u2_lambda", "u3_lambda"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"t_end": 0.0},
+            {"t_end": -1.0},
+            {"t_end": math.inf},
+            {"t_end": math.nan},
+            {"burn_in": -1.0},
+            {"burn_in": math.nan},
+            {"seed": -1},
+            {"seed": 2**64},
+        ],
+    )
+    def test_config_errors_match_simconfig(self, override):
+        p = PRESETS["saturating"]
+        args = {"t_end": p.t_end, "burn_in": 0.0, "seed": 3, **override}
+        with pytest.raises(ParameterError) as direct:
+            hg.SimConfig(p.params, args["t_end"], args["burn_in"], args["seed"])
+        with pytest.raises(ParameterError) as batch:
+            replicate_innovations(p.params, p.u, args["t_end"], args["burn_in"], 4, args["seed"])
+        assert str(batch.value) == str(direct.value)
+
+    @pytest.mark.parametrize(
+        "link", [bad_link(hg.LinearLink, 1.0), bad_link(hg.SaturatingExpLink, 1.0, 3.0)]
+    )
+    def test_nonpositive_rate_error_matches_simulate(self, link):
+        params = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), link)
+        u = hg.TestFunction((0.0, 5.0), (1.0,))
+        with pytest.raises(SimulationError) as direct:
+            hg.simulate(hg.SimConfig(params, 5.0, burn_in=2.0, seed=1))
+        with pytest.raises(SimulationError) as batch:
+            replicate_innovations(params, u, 5.0, 2.0, 3, seed=1)
+        assert str(batch.value) == str(direct.value)
+        assert batch.value.time == direct.value.time == -2.0
+
+    def test_envelope_error_matches_simulate(self):
+        # a negative jump makes the intensity rise between events, past the
+        # dominating rate taken after each event
+        kernel = hg.ExponentialKernel(1.0, 0.5)
+        object.__setattr__(kernel, "mass", -0.5)
+        params = hg.HawkesParams(kernel, hg.LinearLink(1.0))
+        u = hg.TestFunction((0.0, 5.0), (1.0,))
+        with pytest.raises(SimulationError) as direct:
+            hg.simulate(hg.SimConfig(params, 50.0, seed=2))
+        with pytest.raises(SimulationError) as batch:
+            replicate_innovations(params, u, 50.0, 0.0, 1, seed=2)
+        assert "exceeds dominating rate" in str(direct.value)
+        assert str(batch.value) == str(direct.value)
+        assert batch.value.time == direct.value.time
+
+    def test_support_outside_window_rejected(self):
+        p = PRESETS["saturating"]
+        with pytest.raises(ParameterError):
+            replicate_innovations(p.params, p.u, p.t_end / 2, 0.0, 3, seed=1)
+
+
+class TestReplicationCounts:
+    @pytest.mark.parametrize("n_reps", [0, -5])
+    @pytest.mark.parametrize("kernel", [hg.ExponentialKernel(1.0, 0.3), hg.BoxKernel(1.0, 0.3)])
+    def test_replicate_needs_one(self, n_reps, kernel):
+        params = hg.HawkesParams(kernel, hg.LinearLink(1.0))
+        u = hg.TestFunction((0.0, 5.0), (1.0,))
+        with pytest.raises(ParameterError):
+            replicate_innovations(params, u, 5.0, 0.0, n_reps, seed=1)
+
+    @pytest.mark.parametrize("n_reps", [1, 0, -5])
+    def test_bound_vs_empirical_needs_two(self, n_reps):
+        with pytest.raises(ParameterError):
+            run_bound_vs_empirical("poisson", n_reps=n_reps, seed=1)
 
 
 class TestBoundVsEmpirical:

@@ -8,7 +8,9 @@ from scipy.stats import ks_2samp
 
 import hawkesgauss as hg
 from hawkesgauss.chaos import weighted_intensity_integral
+from hawkesgauss import simulator
 from hawkesgauss.errors import ParameterError, SimulationError, TruncationError
+from hawkesgauss.simulator import rng_for
 
 
 def poisson_params(nu=1.0):
@@ -131,6 +133,43 @@ class TestSimulate:
             hg.SimConfig(p, t_end=1.0, burn_in=-1.0)
         with pytest.raises(ParameterError):
             hg.SimConfig(p, t_end=1.0, seed=-1)
+
+
+class TestStreamLayout:
+    """Candidate j of replication k reads uniforms 2j (waiting time
+    -log1p(-U) / lam_bar) and 2j + 1 (acceptance) of rng_for(seed, k)."""
+
+    SEED, REP, T_END = 21, 4, 60.0
+
+    def layout_times(self, blocks):
+        """Poisson(1) event times from uniforms read in blocks of the given
+        sizes: every candidate is accepted, so they are the partial sums of
+        the waiting times."""
+        rng = rng_for(self.SEED, self.REP)
+        u = np.concatenate([rng.random(n) for n in blocks])
+        return np.cumsum(-np.log1p(-u[0::2]))
+
+    def test_poisson_times_are_the_layout(self):
+        stream, _ = hg.simulate(
+            hg.SimConfig(poisson_params(), self.T_END, seed=self.SEED, replication=self.REP)
+        )
+        n = len(stream)
+        assert n > 20
+        # the candidates: n events, then the first one past t_end
+        times = self.layout_times([2 * (n + 1)])
+        np.testing.assert_allclose(stream.times, times[:n], rtol=1e-12, atol=0.0)
+        assert times[n - 1] <= self.T_END < times[n]
+        np.testing.assert_allclose(self.layout_times([7, 2 * n - 5]), times, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", sorted(KERNELS))
+    def test_block_size_does_not_change_draws(self, kind, monkeypatch):
+        p = hg.HawkesParams(KERNELS[kind], hg.SaturatingExpLink(1.0, 3.0))
+        cfg = hg.SimConfig(p, 40.0, burn_in=5.0, seed=8, replication=3)
+        ref, _ = hg.simulate(cfg)
+        for block in (2, 6, 1000):
+            monkeypatch.setattr(simulator, "_block_size", lambda n_paths, b=block: b)
+            stream, _ = hg.simulate(cfg)
+            assert stream.times == ref.times
 
 
 class TestIntensityAt:

@@ -185,10 +185,14 @@ class TestSaturatingClosedForm:
         assert math.isfinite(val)
         assert abs(val - oracle) <= 1e-12 * oracle
 
-    @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 50.0])
+    # c = 2.7 sits where the Ein series cancels most before it hands over to E1
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 2.7, 50.0])
     # rl straddles the switch between the short-piece rule and the E1/Ein
-    # forms at rate * length = 1e-2, where the differences cancel worst
-    @pytest.mark.parametrize("rl", [1e-12, 1e-3, 0.0099, 0.0101, 0.02, 1.0, 800.0])
+    # forms at rate * length = 0.1, where the differences cancel worst, and
+    # the earlier switch at 1e-2
+    @pytest.mark.parametrize(
+        "rl", [1e-12, 1e-3, 0.0099, 0.0101, 0.02, 0.0999, 0.1001, 1.0, 800.0]
+    )
     def test_piece_matches_quad(self, c, rl):
         # one piece (0, L] at rate 1 whose start excitation is c * (cap - nu):
         # an event at 0 of that jump, or for c = 0 no event before the piece

@@ -17,7 +17,6 @@ from .bounds import (
 )
 from ._lockstep import lockstep_sums
 from .chaos import (
-    DEFAULT_QUAD_STEP,
     _has_closed_form,
     approx_first_chaos,
     default_lambda_hat,
@@ -79,7 +78,6 @@ def replicate_innovations(
     burn_in: float,
     n_reps: int,
     seed: int,
-    h_quad: float = DEFAULT_QUAD_STEP,
     collect_moments: bool = False,
 ) -> ReplicationSet:
     """Simulate ``n_reps`` independent paths and compute both innovations on
@@ -88,9 +86,9 @@ def replicate_innovations(
 
     Exponential kernels with the linear or the saturating-exp link take the
     lockstep engine, which thins all paths at once and integrates the
-    compensator in closed form as it goes, so ``h_quad`` is unused there;
-    box and tabulated kernels and the tanh link run ``simulate`` and
-    ``first_chaos`` path by path.  Both give the same numbers to rounding.
+    compensator in closed form as it goes; box and tabulated kernels and the
+    tanh link run ``simulate`` and ``first_chaos`` path by path.  Both give
+    the same numbers to rounding.
     """
     if n_reps < 1:
         raise ParameterError(f"need at least 1 replication, got {n_reps}")
@@ -123,7 +121,7 @@ def replicate_innovations(
     for k in range(n_reps):
         cfg = SimConfig(params=params, t_end=t_end, burn_in=burn_in, seed=seed, replication=k)
         stream, path = simulate(cfg)
-        s = first_chaos(stream, path, u, h_quad=h_quad)
+        s = first_chaos(stream, path, u)
         sa = approx_first_chaos(stream, u, params)
         delta[k] = s.value
         event_sum[k] = s.event_sum
@@ -132,7 +130,7 @@ def replicate_innovations(
         delta_a[k] = sa.value
         lam_hat = sa.lambda_hat
         if collect_moments:
-            m2[k], m3[k] = intensity_moment_integrals(path, u, h_quad=h_quad)
+            m2[k], m3[k] = intensity_moment_integrals(path, u)
     return ReplicationSet(
         delta=delta,
         event_sum=event_sum,
@@ -254,7 +252,6 @@ def run_bound_vs_empirical(
     n_reps: int = DEFAULT_REPS,
     seed: int = 0,
     include_resolvent: bool = False,
-    h_quad: float = DEFAULT_QUAD_STEP,
 ) -> BoundComparison:
     """Check the bound-respect property on one preset: the empirical W1
     distance must not exceed the smallest applicable bound plus Monte Carlo
@@ -278,7 +275,6 @@ def run_bound_vs_empirical(
         preset.burn_in,
         n_reps,
         seed,
-        h_quad=h_quad,
         collect_moments=include_resolvent,
     )
     if include_resolvent:
@@ -370,7 +366,6 @@ def run_rate_sweep(
     nu: float = 1.0,
     kernel_rate: float = 1.0,
     with_empirical: bool = True,
-    h_quad: float = DEFAULT_QUAD_STEP,
 ) -> SweepResult:
     """Sweep the kernel mass eps over a decreasing grid with the matched
     indicator support (0, 1/eps].
@@ -436,7 +431,7 @@ def run_rate_sweep(
         if with_empirical:
             reps = replicate_innovations(
                 params, u, t_end=ell, burn_in=burn_in, n_reps=n_reps,
-                seed=seed + i, h_quad=h_quad,
+                seed=seed + i,
             )
             s = SampleSet(reps.delta, provenance={"family": family, "eps": eps, "seed": seed + i})
             w1, _ = check_ks_w1(s)

@@ -5,12 +5,13 @@ dominating rate, valid because the built-in kernels are nonincreasing and the
 links nondecreasing, so the intensity only decays between events.
 
 The excitation state is the event list plus, for exponential kernels, the
-right limits ``s_plus`` after each event.  One append step records it, one
-evaluator reads S(t) from it and one window sum serves compactly supported
-kernels; thinning and ``IntensityPath`` go through them, and
-``IntensityPath._excitation_at``, their form for many times at once, serves
-the compensator in ``chaos``, so the compensator integrates the intensity
-that drew the events.
+right limits ``s_plus`` after each event.  One append step records it, and
+one evaluator reads S(t) from it, summing the kernel terms of the events
+within reach for compactly supported kernels; thinning and ``IntensityPath``
+go through them.  ``IntensityPath._excitation_at``, their form for many times
+at once, gathers all the windows of those sums in one flat numpy pass and
+serves the compensator in ``chaos``, so the compensator integrates the
+intensity that drew the events.
 
 Candidate j of replication k reads uniforms 2j and 2j + 1 of
 ``rng_for(seed, k).random()`` (``_candidate_draws``); the lockstep engine in
@@ -109,16 +110,11 @@ def default_burn_in(params: HawkesParams, tail_fraction: float = 1e-4) -> float:
     return default_horizon(params.kernel, params.link.lipschitz, tail_fraction)
 
 
-def _window_sum(kernel, t, window):
-    """Sum of h(t - e) over the event times e of ``window``, none after t (for
-    an array of times, none after the first); an event at t weighs h(0+).
-    For a box kernel every event must lie within the support of t."""
-    if isinstance(kernel, BoxKernel):
-        return len(window) * kernel.jump
-    ages = t - np.asarray(window)
+def _kernel_terms(kernel, ages: np.ndarray) -> np.ndarray:
+    """h at the given nonnegative event ages, an event of age 0 weighing h(0+)."""
     vals = np.asarray(kernel(ages), dtype=float)
     vals[ages <= 0] = kernel.jump
-    return vals.sum(axis=0)
+    return vals
 
 
 def _excitation(kernel, events, s_plus, t: float, n: int) -> float:
@@ -129,8 +125,11 @@ def _excitation(kernel, events, s_plus, t: float, n: int) -> float:
         return 0.0
     if isinstance(kernel, ExponentialKernel):
         return s_plus[n - 1] * math.exp(-kernel.rate * (t - events[n - 1]))
+    # the window of events that h still reaches: [t - support_end, t]
     lo = bisect_left(events, t - kernel.support_end, 0, n)
-    return float(_window_sum(kernel, t, events[lo:n]))
+    if isinstance(kernel, BoxKernel):
+        return (n - lo) * kernel.jump
+    return float(_kernel_terms(kernel, t - np.asarray(events[lo:n])).sum())
 
 
 def _append_event(kernel, events: list, s_plus: list, t: float) -> None:
@@ -255,9 +254,9 @@ class IntensityPath:
         return _excitation(self.kernel, self.events, self.s_plus, t, n)
 
     def _excitation_at(self, ts: np.ndarray, side: str) -> np.ndarray:
-        """S at each of the ascending times ``ts``: the left limit S(t) for
-        side="left", the right limit S(t+) for side="right", as
-        ``excitation_before`` and ``excitation_after`` give them one by one."""
+        """S at each of the times ``ts``: the left limit S(t) for side="left",
+        the right limit S(t+) for side="right", as ``excitation_before`` and
+        ``excitation_after`` give them one by one."""
         kernel = self.kernel
         events = np.asarray(self.events)
         n = np.searchsorted(events, ts, side)
@@ -267,24 +266,18 @@ class IntensityPath:
             last = np.maximum(n - 1, 0)
             age = np.where(n > 0, ts - events[last], np.inf)
             return np.asarray(self.s_plus)[last] * np.exp(-kernel.rate * age)
+        # the windows of _excitation
+        lo = np.searchsorted(events, ts - kernel.support_end, "left")
         if isinstance(kernel, BoxKernel):
-            # the window of _excitation: events in [t - support_end, t), or
-            # up to t for the right limit
-            lo = np.searchsorted(events, ts - kernel.support_end, "left")
             return (n - lo) * kernel.jump
-        return np.array([
-            _excitation(kernel, self.events, self.s_plus, t, k)
-            for t, k in zip(ts.tolist(), n.tolist())
-        ])
-
-    def _excitation_grid(self, ts: np.ndarray) -> np.ndarray:
-        """S at the ascending times ``ts`` from the events up to ts[0], one at
-        ts[0] weighing h(0+); exact when no event or kernel expiry lies in
-        (ts[0], ts[-1]) and the kernel is not a box."""
-        events = self.events
-        lo = bisect_left(events, ts[0] - self.kernel.support_end)
-        hi = bisect_right(events, ts[0])
-        return _window_sum(self.kernel, ts, np.asarray(events[lo:hi])[:, None])
+        # every window in one flat gather, summed per time; taking the
+        # windows' first events first, then their second ones and so on, keeps
+        # the ages in near order for the kernel's interpolation search
+        rank = np.arange(np.max(n - lo, initial=0))[:, None]
+        keep = rank < n - lo
+        owner = np.broadcast_to(np.arange(ts.size), keep.shape)[keep]
+        terms = _kernel_terms(kernel, ts[owner] - events[(lo + rank)[keep]])
+        return np.bincount(owner, terms, minlength=ts.size)
 
 
 def intensity_at(path: IntensityPath, t: float) -> float:

@@ -67,14 +67,14 @@ class TestFirstChaos:
             oracle += 0.3 * piece
         assert val == pytest.approx(oracle, abs=1e-8)
 
-    def test_simpson_branch_matches_oracle(self):
+    def test_quadrature_branch_matches_oracle(self):
         # the tanh link has no closed form, so it takes the quadrature branch
         p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
         val, err = weighted_intensity_integral(path, u)
         assert err > 0.0
-        assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-7)
+        assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-10)
         assert err < 1e-6
 
     @pytest.mark.parametrize("seed", [13, 14, 15])
@@ -88,18 +88,24 @@ class TestFirstChaos:
         assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-10)
 
     @pytest.mark.parametrize(
-        "link", [hg.LinearLink(1.0), hg.SaturatingExpLink(1.0, 3.0)], ids=["linear", "saturating"]
+        "link",
+        [hg.LinearLink(1.0), hg.SaturatingExpLink(1.0, 3.0), hg.TanhLink(1.0, 0.5)],
+        ids=["linear", "saturating", "tanh"],
     )
-    def test_tabulated_simpson_branch_matches_oracle(self, link):
-        # a tabulated kernel always takes the Simpson grid; cut the oracle at
-        # every event age on the kernel's grid (events and expiries included),
-        # where the intensity jumps or kinks
+    def test_tabulated_quadrature_branch_matches_oracle(self, link):
+        # a tabulated kernel always takes the quadrature branch; cut the
+        # oracle at every event age on the kernel's grid (events and expiries
+        # included), where the intensity jumps or kinks
         kernel = hg.TabulatedKernel(0.25, (0.6, 0.5, 0.4, 0.3, 0.3, 0.2, 0.1, 0.0))
         p = hg.HawkesParams(kernel, link)
         stream, path = hg.simulate(hg.SimConfig(p, 20.0, burn_in=1.0, seed=17))
         u = hg.TestFunction((0.0, 20.0), (1.0,))
         val, err = weighted_intensity_integral(path, u)
-        assert err > 0.0
+        if isinstance(link, hg.LinearLink):
+            # the excitation is affine between cuts, so the rule is exact
+            assert err <= 1e-12
+        else:
+            assert err > 0.0
         knots = [t + k * kernel.step for t in path.events for k in range(len(kernel.values))]
         pts = sorted({0.0, 20.0} | {t for t in knots if 0.0 < t < 20.0})
         assert len(pts) > 200
@@ -107,7 +113,29 @@ class TestFirstChaos:
             quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
             for a, b in zip(pts[:-1], pts[1:])
         )
-        assert val == pytest.approx(oracle, abs=1e-7)
+        assert val == pytest.approx(oracle, abs=1e-10)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize(
+        "link", [hg.LinearLink(1.0), hg.TanhLink(1.0, 0.5)], ids=["linear", "tanh"]
+    )
+    def test_tabulated_expiry_jump_matches_oracle(self, link):
+        # the last grid value is nonzero, so each event's term drops to zero
+        # at its expiry; w reaches into the burn-in, so events before its
+        # support also cut it
+        kernel = hg.TabulatedKernel(0.25, (0.6, 0.5, 0.4, 0.3, 0.3, 0.25, 0.2, 0.2))
+        p = hg.HawkesParams(kernel, link)
+        stream, path = hg.simulate(hg.SimConfig(p, 12.0, burn_in=2.0, seed=13))
+        u = hg.TestFunction((-1.3, 0.7, 12.0), (0.4, 1.0))
+        val, err = weighted_intensity_integral(path, u)
+        knots = [t + k * kernel.step for t in path.events for k in range(len(kernel.values))]
+        pts = sorted({-1.3, 0.7, 12.0} | {t for t in knots if -1.3 < t < 12.0})
+        oracle = sum(
+            u(0.5 * (a + b))
+            * quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
+            for a, b in zip(pts[:-1], pts[1:])
+        )
+        assert val == pytest.approx(oracle, abs=1e-10)
         assert err < 1e-6
 
     def test_box_kernel_exact_segments(self):
@@ -131,6 +159,18 @@ class TestFirstChaos:
         stream, path = poisson_path((0.5,))
         with pytest.raises(ParameterError):
             hg.first_chaos(stream, path, hg.TestFunction((0.0, 2.0), (1.0,)))
+
+    @pytest.mark.parametrize("support", [(0.0, 30.0), (-50.0, 5.0)], ids=["after", "before"])
+    def test_integrals_outside_simulated_window(self, support):
+        # the path only knows its events on [t_start, t_end]; beyond it the
+        # intensity is unknown, as intensity_at says
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.4), hg.LinearLink(1.0))
+        _, path = hg.simulate(hg.SimConfig(p, 10.0, seed=3))
+        w = hg.TestFunction(support, (1.0,))
+        with pytest.raises(ParameterError):
+            weighted_intensity_integral(path, w)
+        with pytest.raises(ParameterError):
+            hg.intensity_moment_integrals(path, w)
 
     def test_quadrature_error_flagged_not_fatal(self):
         p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))

@@ -197,13 +197,20 @@ class TestIntensityAt:
         assert path.excitation_after(2.0) == pytest.approx(k(1.0) + k.jump, rel=1e-15)
 
     @pytest.mark.parametrize("kind", KERNELS)
-    @pytest.mark.parametrize("events", [(), (1.0, 2.0, 2.5)], ids=["empty", "three"])
+    @pytest.mark.parametrize(
+        "events", [(), (1.0, 2.0, 2.5), "thinned"], ids=["empty", "three", "thinned"]
+    )
     def test_many_times_match_one_at_a_time(self, kind, events):
         # the compensator reads both limits at all piece cuts at once: at,
-        # between and after events, and at box expiries (2.5, 3.5, 4.0)
+        # between and after events, and at box expiries (2.5, 3.5, 4.0); the
+        # thinned tabulated path gives windows of differing widths
+        if events == "thinned":
+            p = hg.HawkesParams(KERNELS["tabulated"], hg.LinearLink(1.0))
+            events = hg.simulate(hg.SimConfig(p, 10.0, seed=7))[0].times
+            assert len(events) > 20
         k = KERNELS[kind]
         path = hg.IntensityPath.build(events, k, hg.LinearLink(1.0), 0.0, 10.0)
-        ts = np.array([0.5, 1.0, 1.7, 2.0, 2.5, 3.5, 3.9, 4.0, 9.0])
+        ts = np.union1d([0.5, 1.0, 1.7, 2.0, 2.5, 3.5, 3.9, 4.0, 9.0], events)
         left = [path.excitation_before(t) for t in ts]
         right = [path.excitation_after(t) for t in ts]
         np.testing.assert_allclose(path._excitation_at(ts, "left"), left, rtol=1e-15, atol=0)

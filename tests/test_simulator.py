@@ -201,9 +201,9 @@ class TestIntensityAt:
         "events", [(), (1.0, 2.0, 2.5), "thinned"], ids=["empty", "three", "thinned"]
     )
     def test_many_times_match_one_at_a_time(self, kind, events):
-        # the compensator reads both limits at all piece cuts at once: at,
-        # between and after events, and at box expiries (2.5, 3.5, 4.0); the
-        # thinned tabulated path gives windows of differing widths
+        # the compensator reads S at many times at once: at, between and
+        # after events, and at box expiries (2.5, 3.5, 4.0); the thinned
+        # tabulated path gives windows of differing widths
         if events == "thinned":
             p = hg.HawkesParams(KERNELS["tabulated"], hg.LinearLink(1.0))
             events = hg.simulate(hg.SimConfig(p, 10.0, seed=7))[0].times

@@ -1,23 +1,29 @@
-"""Lockstep replication engine: the thinning of R paths of an exponential
-kernel run as numpy vectors, with the compensator integrated as it goes.
+"""Replication engine: per replication, the event sum, the integrals of u,
+u^2 and |u|^3 against lambda, and the quadrature error (``replication_sums``).
 
-Each running path keeps its Markov state: the time t of its last candidate,
-its last event t_last and S(t_last+).  Step j draws candidate j of every
-path from the stream layout of ``simulate`` (uniforms 2j and 2j + 1 of
-``rng_for(seed, k).random()``), integrates w * lambda over (t, candidate]
-for w = u and, on request, u^2 and |u|^3, cut at u's breakpoints, in the
-closed forms of ``chaos``, and thins.  Only running sums are kept: no event
-list, ``EventStream`` or ``IntensityPath`` is built, and memory grows with
-the number of paths thinned together, at most ``_CHUNK``.
+Exponential kernels with a closed-form compensator (``_has_closed_form``)
+thin all paths in lockstep as numpy vectors.  Each running path keeps its
+Markov state: the time t of its last candidate, its last event t_last and
+S(t_last+).  Step j draws candidate j of every path from the stream layout
+of ``simulate`` (uniforms 2j and 2j + 1 of ``rng_for(seed, k).random()``),
+integrates each weight row times lambda over (t, candidate], cut at u's
+breakpoints, in the closed forms of ``chaos``, and thins.  Only running sums
+are kept, and memory grows with the number of paths thinned together, at
+most ``_CHUNK``.  Other kernels and links run ``simulate`` path by path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .chaos import _check_support, _closed_form_integrals
-from .model import HawkesParams, TestFunction
-from .simulator import _ENVELOPE_SLACK, _block_size, _envelope_error, _rate_error, rng_for
+from .chaos import (
+    _CLOSED_FORM_LINKS, _check_support, _closed_form_integrals, _event_sum, _weight_rows,
+    _weighted_integrals,
+)
+from .model import ExponentialKernel, HawkesParams, TestFunction
+from .simulator import (
+    _ENVELOPE_SLACK, SimConfig, _block_size, _envelope_error, _rate_error, rng_for, simulate,
+)
 
 
 #: most paths thinned together; longer runs go chunk by chunk, which keeps
@@ -26,7 +32,13 @@ from .simulator import _ENVELOPE_SLACK, _block_size, _envelope_error, _rate_erro
 _CHUNK = 8192
 
 
-def lockstep_sums(
+def _has_closed_form(kernel, link) -> bool:
+    """Whether the replications thin in lockstep: an exponential kernel with
+    a link whose compensator ``chaos._closed_form_integrals`` gives."""
+    return isinstance(kernel, ExponentialKernel) and isinstance(link, _CLOSED_FORM_LINKS)
+
+
+def replication_sums(
     params: HawkesParams,
     u: TestFunction,
     t_end: float,
@@ -34,32 +46,38 @@ def lockstep_sums(
     n_reps: int,
     seed: int,
     collect_moments: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per replication k of ``n_reps``: the event sum sum_i u(T_i) over
-    (0, t_end], and the rows int u lambda, then int u^2 lambda and
-    int |u|^3 lambda when ``collect_moments`` is set.
+    (0, t_end]; the rows int u lambda, then int u^2 lambda and
+    int |u|^3 lambda when ``collect_moments`` is set; and the error estimate
+    of int u lambda, which is 0 where the compensator is in closed form.
 
-    The kernel must be exponential and the link linear or saturating-exp
-    (``chaos._has_closed_form``); ``simulate`` followed by ``first_chaos``
-    gives the same numbers to rounding.
+    Replication k thins the path of ``simulate`` for
+    ``SimConfig(params, t_end, burn_in, seed, k)``.
     """
     _check_support(u, (0.0, t_end))
+    rows = _weight_rows(u.values, collect_moments)
+    if not _has_closed_form(params.kernel, params.link):
+        event_sum = np.empty(n_reps)
+        integrals = np.empty((len(rows), n_reps))
+        quad_err = np.empty(n_reps)
+        for k in range(n_reps):
+            stream, path = simulate(SimConfig(params, t_end, burn_in, seed, k))
+            event_sum[k] = _event_sum(stream, u)
+            integrals[:, k], quad_err[k] = _weighted_integrals(path, u, rows)
+        return event_sum, integrals, quad_err
     bp = np.asarray(u.breakpoints)
-    values = np.asarray(u.values)
-    nonzero = values != 0.0
-    lo, hi, values = bp[:-1][nonzero], bp[1:][nonzero], values[nonzero]
-    weights = values[None, :]
-    if collect_moments:
-        weights = np.stack([values, values * values, np.abs(values) ** 3.0])
+    nonzero = np.asarray(u.values) != 0.0
+    pieces = (bp[:-1][nonzero], bp[1:][nonzero], rows[:, nonzero])
     event_sum = np.zeros(n_reps)
-    integrals = np.zeros((len(weights), n_reps))
+    integrals = np.zeros((len(rows), n_reps))
     for first in range(0, n_reps, _CHUNK):
         chunk = slice(first, min(first + _CHUNK, n_reps))
         _thin_chunk(
-            params, u, (lo, hi, weights), t_end, burn_in, seed, first,
+            params, u, pieces, t_end, burn_in, seed, first,
             event_sum[chunk], integrals[:, chunk],
         )
-    return event_sum, integrals
+    return event_sum, integrals, np.zeros(n_reps)
 
 
 def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integrals):

@@ -11,9 +11,10 @@ exponential integral E1), and piecewise constant for box and zero kernels.
 The tanh link and tabulated kernels, which have no closed form, take the
 4-node Gauss-Legendre rule on every piece at once, with the difference from
 the 3-node rule as error estimate; on a tabulated piece the excitation is
-affine, so the linear link is exact there.  The closed forms take each
-piece's start excitation and length (``_closed_form_integrals``), so the
-lockstep engine in ``_lockstep`` integrates with the same code.
+affine, so the linear link is exact there.  One pass integrates the pieces
+once for the rows u, u^2 and |u|^3 of ``_weight_rows``.  The closed forms take
+each piece's start excitation and length (``_closed_form_integrals``), so the
+lockstep engine in ``_lockstep`` integrates with the same code and rows.
 """
 
 from __future__ import annotations
@@ -72,18 +73,6 @@ def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
     lo, hi = bp[0], bp[-1]
     knots = (np.asarray(path.events)[:, None] + _kink_ages(path.kernel)).ravel()
     return np.union1d(bp, knots[(knots > lo) & (knots < hi)])
-
-
-def _pieces(path: IntensityPath, w: TestFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(starts, ends, values of w) of the pieces between consecutive cuts on
-    which w is nonzero; w's support must lie in the simulated window."""
-    _check_support(w, (path.t_start, path.t_end))
-    cuts = _segment_points(path, w)
-    a, b = cuts[:-1], cuts[1:]
-    idx = np.searchsorted(np.asarray(w.breakpoints), a, side="right") - 1
-    v = np.asarray(w.values)[idx]
-    keep = v != 0.0
-    return a[keep], b[keep], v[keep]
 
 
 # Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 28 terms
@@ -146,11 +135,8 @@ def _saturating_excess(c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _has_closed_form(kernel, link) -> bool:
-    """Whether ``_closed_form_integrals`` serves this kernel and link."""
-    return isinstance(kernel, ExponentialKernel) and isinstance(
-        link, (LinearLink, SaturatingExpLink)
-    )
+#: the links that ``_closed_form_integrals`` serves on an exponential kernel
+_CLOSED_FORM_LINKS = (LinearLink, SaturatingExpLink)
 
 
 def _closed_form_integrals(
@@ -184,7 +170,7 @@ def _piece_integrals(
 
     if isinstance(kernel, ExponentialKernel):
         s_a = path._excitation_at(a, "right")
-        if _has_closed_form(kernel, link):
+        if isinstance(link, _CLOSED_FORM_LINKS):
             return _closed_form_integrals(kernel, link, s_a, length), exact
         # S(a + x) = s_a e^{-rate x}, on equal sub-pieces with rate * length
         # below _SHORT
@@ -211,12 +197,35 @@ def _piece_integrals(
     )
 
 
+def _weight_rows(values, moments: bool) -> np.ndarray:
+    """Weights of a step function's pieces: the row of its values, then, with
+    ``moments``, the rows of their squares and absolute cubes."""
+    v = np.asarray(values, dtype=float)
+    return np.stack([v, v * v, np.abs(v) ** 3.0]) if moments else v[None, :]
+
+
+def _weighted_integrals(
+    path: IntensityPath, w: TestFunction, rows: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """int r(t) lambda(t) dt for each row r of ``rows`` (the step function
+    with w's breakpoints and r as values), integrating the pieces once, and
+    the first row's error estimate; w's support must lie in the window."""
+    _check_support(w, (path.t_start, path.t_end))
+    cuts = _segment_points(path, w)
+    a, b = cuts[:-1], cuts[1:]
+    idx = np.searchsorted(np.asarray(w.breakpoints), a, side="right") - 1
+    keep = np.asarray(w.values)[idx] != 0.0
+    a, b, idx = a[keep], b[keep], idx[keep]
+    vals, errs = _piece_integrals(path, a, b)
+    sums = np.array([np.sum(row[idx] * vals) for row in rows])
+    return sums, float(np.sum(np.abs(rows[0][idx]) * errs))
+
+
 def weighted_intensity_integral(path: IntensityPath, w: TestFunction) -> tuple[float, float]:
     """int w(t) lambda(t) dt over the support of the step function w, which
     must lie in the simulated window of the path."""
-    a, b, v = _pieces(path, w)
-    vals, errs = _piece_integrals(path, a, b)
-    return float(np.sum(v * vals)), float(np.sum(np.abs(v) * errs))
+    sums, err = _weighted_integrals(path, w, _weight_rows(w.values, False))
+    return float(sums[0]), err
 
 
 def _check_support(u: TestFunction, window: tuple) -> None:
@@ -226,6 +235,12 @@ def _check_support(u: TestFunction, window: tuple) -> None:
         raise ParameterError(
             f"support ({lo}, {hi}] of u must lie inside the window ({t0}, {t1}]"
         )
+
+
+def _event_sum(stream: EventStream, u: TestFunction) -> float:
+    """sum_i u(T_i) over the events of the stream."""
+    times = np.asarray(stream.times)
+    return float(np.sum(u(times))) if times.size else 0.0
 
 
 def first_chaos(
@@ -240,8 +255,7 @@ def first_chaos(
     not an exception.
     """
     _check_support(u, stream.window)
-    times = np.asarray(stream.times)
-    event_sum = float(np.sum(u(times))) if times.size else 0.0
+    event_sum = _event_sum(stream, u)
     compensator, err = weighted_intensity_integral(path, u)
     if quad_tol is not None and err > quad_tol:
         warnings.warn(
@@ -293,8 +307,7 @@ def approx_first_chaos(
                 f"lambda_hat={lam} outside the intensity bracket [{low}, {high}]",
                 stacklevel=2,
             )
-    times = np.asarray(stream.times)
-    event_sum = float(np.sum(u(times))) if times.size else 0.0
+    event_sum = _event_sum(stream, u)
     compensator = lam * u.integral()
     return InnovationSample(
         value=event_sum - compensator,
@@ -309,6 +322,5 @@ def intensity_moment_integrals(path: IntensityPath, u: TestFunction) -> tuple[fl
     """Pathwise (int u^2 lambda dt, int |u|^3 lambda dt), the Monte Carlo
     inputs of the resolvent-majorant bound; the pieces of u are integrated
     once for both."""
-    a, b, v = _pieces(path, u)
-    vals, _ = _piece_integrals(path, a, b)
-    return float(np.sum(v * v * vals)), float(np.sum(np.abs(v) ** 3.0 * vals))
+    sums, _ = _weighted_integrals(path, u, _weight_rows(u.values, True))
+    return float(sums[1]), float(sums[2])

@@ -145,7 +145,7 @@ def _cmd_experiment(args) -> int:
             raise ConfigError(f"experiment {name!r} needs [experiment] eps_grid")
         family = "nonlinear" if name == "sweep-nonlinear" else "linear"
         result = run_rate_sweep(
-            family, cfg.eps_grid, n_reps=cfg.reps, seed=cfg.seed, nu=cfg.link_nu
+            family, cfg.eps_grid, n_reps=cfg.reps, seed=cfg.seed, nu=dict(cfg.link)["nu"]
         )
         out_path = out_dir / f"{name}.csv"
         with out_path.open("w") as fh:

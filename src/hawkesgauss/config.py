@@ -25,10 +25,40 @@ from .model import (
     unit_variance_indicator,
 )
 
+
+def _indicator(params, ell):
+    """The unit-variance indicator of (0, ell] for the run's parameters,
+    which ``params()`` builds."""
+    p = params()
+    return unit_variance_indicator(p.phi0, p.alpha_mu, ell)
+
+
+#: per section: the key naming the form, and per form its constructor and its
+#: keys in document order; the keys in _LISTS hold comma-separated lists.  The
+#: constructors of [u] take first a function that builds the run's parameters
+_FORMS = {
+    "kernel": ("form", {
+        "exponential": (ExponentialKernel, ("mass", "rate")),
+        "box": (BoxKernel, ("mass", "width")),
+        "tabulated": (TabulatedKernel, ("step", "values")),
+    }),
+    "link": ("form", {
+        "linear": (LinearLink, ("nu",)),
+        "saturating_exp": (SaturatingExpLink, ("nu", "cap")),
+        "tanh": (TanhLink, ("nu", "amplitude")),
+    }),
+    "u": ("kind", {
+        "indicator": (_indicator, ("ell",)),
+        "steps": (lambda params, **keys: TestFunction(**keys), ("breakpoints", "values")),
+    }),
+}
+_LISTS = {"breakpoints", "values"}
+
 _SCHEMA = {
-    "kernel": {"form", "mass", "rate", "width", "step", "values"},
-    "link": {"form", "nu", "cap", "amplitude"},
-    "u": {"kind", "ell", "breakpoints", "values"},
+    **{
+        section: {form_key}.union(*(keys for _, keys in forms.values()))
+        for section, (form_key, forms) in _FORMS.items()
+    },
     "sim": {"t_end", "burn_in", "seed", "reps", "mode"},
     "experiment": {"name", "eps_grid", "preset"},
 }
@@ -39,22 +69,16 @@ EXPERIMENTS = ("sweep-nonlinear", "sweep-linear", "bound-vs-empirical")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of one configuration document."""
+    """Typed view of one configuration document.  Each of the sections
+    [kernel], [link] and [u] is held as its form and its (key, value) pairs
+    in document order."""
 
     kernel_form: str
-    kernel_mass: float | None
-    kernel_rate: float | None
-    kernel_width: float | None
-    kernel_step: float | None
-    kernel_values: tuple | None
+    kernel: tuple
     link_form: str
-    link_nu: float
-    link_cap: float | None
-    link_amplitude: float | None
+    link: tuple
     u_kind: str
-    u_ell: float | None
-    u_breakpoints: tuple | None
-    u_values: tuple | None
+    u: tuple
     t_end: float
     burn_in: float | None
     seed: int
@@ -64,28 +88,18 @@ class RunConfig:
     eps_grid: tuple | None
     preset: str | None
 
-    def build_kernel(self):
-        if self.kernel_form == "exponential":
-            return ExponentialKernel(rate=self.kernel_rate, mass=self.kernel_mass)
-        if self.kernel_form == "box":
-            return BoxKernel(width=self.kernel_width, mass=self.kernel_mass)
-        return TabulatedKernel(step=self.kernel_step, values=self.kernel_values)
+    def _form(self, section: str) -> tuple[str, tuple]:
+        return getattr(self, f"{section}_{_FORMS[section][0]}"), getattr(self, section)
 
-    def build_link(self):
-        if self.link_form == "linear":
-            return LinearLink(nu=self.link_nu)
-        if self.link_form == "saturating_exp":
-            return SaturatingExpLink(nu=self.link_nu, cap=self.link_cap)
-        return TanhLink(nu=self.link_nu, amplitude=self.link_amplitude)
+    def _build(self, section: str, *args):
+        form, pairs = self._form(section)
+        return _FORMS[section][1][form][0](*args, **dict(pairs))
 
     def build_params(self) -> HawkesParams:
-        return HawkesParams(self.build_kernel(), self.build_link())
+        return HawkesParams(self._build("kernel"), self._build("link"))
 
     def build_u(self, params: HawkesParams | None = None) -> TestFunction:
-        if self.u_kind == "indicator":
-            params = params if params is not None else self.build_params()
-            return unit_variance_indicator(params.phi0, params.alpha_mu, self.u_ell)
-        return TestFunction(self.u_breakpoints, self.u_values)
+        return self._build("u", lambda: params if params is not None else self.build_params())
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -112,25 +126,32 @@ def _float_list(section: str, key: str, raw: str) -> tuple:
     return tuple(_float(section, key, s) for s in items)
 
 
-class _Section:
-    def __init__(self, name: str, data: dict):
-        self.name = name
-        self.data = data
+def _require(section: str, data: dict, key: str) -> str:
+    if key not in data:
+        raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    return data[key]
 
-    def require(self, key: str) -> str:
-        if key not in self.data:
-            raise ConfigError(f"missing required key {key!r} in section [{self.name}]")
-        return self.data[key]
 
-    def optional(self, key: str):
-        return self.data.get(key)
-
-    def forbid_extras(self, used: set) -> None:
-        extra = set(self.data) - used
-        if extra:
-            raise ConfigError(
-                f"unexpected key(s) {sorted(extra)} in section [{self.name}]"
-            )
+def _parse_form(section: str, data: dict) -> tuple[str, tuple]:
+    """The form of a [kernel], [link] or [u] section and its (key, value)
+    pairs; a key of another form is rejected."""
+    form_key, forms = _FORMS[section]
+    form = _require(section, data, form_key).strip().lower()
+    if form not in forms:
+        names = list(forms)
+        raise ConfigError(
+            f"[{section}] {form_key} must be {', '.join(names[:-1])} or {names[-1]}, "
+            f"got {form!r}"
+        )
+    keys = forms[form][1]
+    pairs = []
+    for key in keys:
+        parse = _float_list if key in _LISTS else _float
+        pairs.append((key, parse(section, key, _require(section, data, key))))
+    extra = set(data) - {form_key, *keys}
+    if extra:
+        raise ConfigError(f"unexpected key(s) {sorted(extra)} in section [{section}]")
+    return form, tuple(pairs)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -152,140 +173,63 @@ def parse_config(text: str) -> RunConfig:
         if extra:
             raise ConfigError(f"unknown key(s) {sorted(extra)} in section [{name}]")
 
-    ker = _Section("kernel", dict(parser["kernel"]))
-    form = ker.require("form").strip().lower()
-    mass = rate = width = step = None
-    kvalues = None
-    if form == "exponential":
-        mass = _float("kernel", "mass", ker.require("mass"))
-        rate = _float("kernel", "rate", ker.require("rate"))
-        ker.forbid_extras({"form", "mass", "rate"})
-    elif form == "box":
-        mass = _float("kernel", "mass", ker.require("mass"))
-        width = _float("kernel", "width", ker.require("width"))
-        ker.forbid_extras({"form", "mass", "width"})
-    elif form == "tabulated":
-        step = _float("kernel", "step", ker.require("step"))
-        kvalues = _float_list("kernel", "values", ker.require("values"))
-        ker.forbid_extras({"form", "step", "values"})
-    else:
-        raise ConfigError(f"[kernel] form must be exponential, box or tabulated, got {form!r}")
+    (kernel_form, kernel), (link_form, link), (u_kind, u) = (
+        _parse_form(section, dict(parser[section])) for section in _FORMS
+    )
 
-    lnk = _Section("link", dict(parser["link"]))
-    link_form = lnk.require("form").strip().lower()
-    nu = _float("link", "nu", lnk.require("nu"))
-    cap = amplitude = None
-    if link_form == "linear":
-        lnk.forbid_extras({"form", "nu"})
-    elif link_form == "saturating_exp":
-        cap = _float("link", "cap", lnk.require("cap"))
-        lnk.forbid_extras({"form", "nu", "cap"})
-    elif link_form == "tanh":
-        amplitude = _float("link", "amplitude", lnk.require("amplitude"))
-        lnk.forbid_extras({"form", "nu", "amplitude"})
-    else:
-        raise ConfigError(
-            f"[link] form must be linear, saturating_exp or tanh, got {link_form!r}"
-        )
-
-    usec = _Section("u", dict(parser["u"]))
-    kind = usec.require("kind").strip().lower()
-    ell = None
-    ubp = uvals = None
-    if kind == "indicator":
-        ell = _float("u", "ell", usec.require("ell"))
-        usec.forbid_extras({"kind", "ell"})
-    elif kind == "steps":
-        ubp = _float_list("u", "breakpoints", usec.require("breakpoints"))
-        uvals = _float_list("u", "values", usec.require("values"))
-        usec.forbid_extras({"kind", "breakpoints", "values"})
-    else:
-        raise ConfigError(f"[u] kind must be indicator or steps, got {kind!r}")
-
-    sim = _Section("sim", dict(parser["sim"]))
-    t_end = _float("sim", "t_end", sim.require("t_end"))
-    burn_raw = sim.optional("burn_in")
+    sim = dict(parser["sim"])
+    t_end = _float("sim", "t_end", _require("sim", sim, "t_end"))
+    burn_raw = sim.get("burn_in")
     burn_in = None if burn_raw is None else _float("sim", "burn_in", burn_raw)
-    seed = _int("sim", "seed", sim.require("seed"))
-    reps_raw = sim.optional("reps")
+    seed = _int("sim", "seed", _require("sim", sim, "seed"))
+    reps_raw = sim.get("reps")
     reps = 10000 if reps_raw is None else _int("sim", "reps", reps_raw)
     if reps < 1:
         raise ConfigError(f"[sim] reps must be >= 1, got {reps}")
-    mode_raw = sim.optional("mode")
+    mode_raw = sim.get("mode")
     mode = "rplus" if mode_raw is None else mode_raw.strip().lower()
     if mode not in MODES:
         raise ConfigError(f"[sim] mode must be one of {MODES}, got {mode!r}")
 
     exp_name = eps_grid = preset = None
     if "experiment" in sections:
-        exp = _Section("experiment", dict(parser["experiment"]))
-        exp_name = exp.require("name").strip().lower()
+        exp = dict(parser["experiment"])
+        exp_name = _require("experiment", exp, "name").strip().lower()
         if exp_name not in EXPERIMENTS:
             raise ConfigError(
                 f"[experiment] name must be one of {EXPERIMENTS}, got {exp_name!r}"
             )
-        raw_grid = exp.optional("eps_grid")
+        raw_grid = exp.get("eps_grid")
         eps_grid = None if raw_grid is None else _float_list("experiment", "eps_grid", raw_grid)
-        raw_preset = exp.optional("preset")
+        raw_preset = exp.get("preset")
         preset = None if raw_preset is None else raw_preset.strip().lower()
 
     return RunConfig(
-        kernel_form=form,
-        kernel_mass=mass,
-        kernel_rate=rate,
-        kernel_width=width,
-        kernel_step=step,
-        kernel_values=kvalues,
-        link_form=link_form,
-        link_nu=nu,
-        link_cap=cap,
-        link_amplitude=amplitude,
-        u_kind=kind,
-        u_ell=ell,
-        u_breakpoints=ubp,
-        u_values=uvals,
-        t_end=t_end,
-        burn_in=burn_in,
-        seed=seed,
-        reps=reps,
-        mode=mode,
-        experiment_name=exp_name,
-        eps_grid=eps_grid,
-        preset=preset,
+        kernel_form, kernel, link_form, link, u_kind, u,
+        t_end, burn_in, seed, reps, mode, exp_name, eps_grid, preset,
     )
+
+
+def _text(value) -> str:
+    """A number, or a list of them, as canonical config text."""
+    return ", ".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parsing it back reproduces ``cfg`` exactly."""
-    lines = ["[kernel]", f"form = {cfg.kernel_form}"]
-    if cfg.kernel_form == "exponential":
-        lines += [f"mass = {cfg.kernel_mass!r}", f"rate = {cfg.kernel_rate!r}"]
-    elif cfg.kernel_form == "box":
-        lines += [f"mass = {cfg.kernel_mass!r}", f"width = {cfg.kernel_width!r}"]
-    else:
-        lines += [
-            f"step = {cfg.kernel_step!r}",
-            "values = " + ", ".join(repr(v) for v in cfg.kernel_values),
-        ]
-    lines += ["", "[link]", f"form = {cfg.link_form}", f"nu = {cfg.link_nu!r}"]
-    if cfg.link_form == "saturating_exp":
-        lines.append(f"cap = {cfg.link_cap!r}")
-    elif cfg.link_form == "tanh":
-        lines.append(f"amplitude = {cfg.link_amplitude!r}")
-    lines += ["", "[u]", f"kind = {cfg.u_kind}"]
-    if cfg.u_kind == "indicator":
-        lines.append(f"ell = {cfg.u_ell!r}")
-    else:
-        lines.append("breakpoints = " + ", ".join(repr(v) for v in cfg.u_breakpoints))
-        lines.append("values = " + ", ".join(repr(v) for v in cfg.u_values))
-    lines += ["", "[sim]", f"t_end = {cfg.t_end!r}"]
+    lines = []
+    for section, (form_key, _) in _FORMS.items():
+        form, pairs = cfg._form(section)
+        lines += [f"[{section}]", f"{form_key} = {form}"]
+        lines += [f"{key} = {_text(value)}" for key, value in pairs] + [""]
+    lines += ["[sim]", f"t_end = {cfg.t_end!r}"]
     if cfg.burn_in is not None:
         lines.append(f"burn_in = {cfg.burn_in!r}")
     lines += [f"seed = {cfg.seed}", f"reps = {cfg.reps}", f"mode = {cfg.mode}"]
     if cfg.experiment_name is not None:
         lines += ["", "[experiment]", f"name = {cfg.experiment_name}"]
         if cfg.eps_grid is not None:
-            lines.append("eps_grid = " + ", ".join(repr(v) for v in cfg.eps_grid))
+            lines.append(f"eps_grid = {_text(cfg.eps_grid)}")
         if cfg.preset is not None:
             lines.append(f"preset = {cfg.preset}")
     return "\n".join(lines) + "\n"

@@ -15,14 +15,8 @@ from .bounds import (
     compare_conditions,
     evaluate_all,
 )
-from ._lockstep import lockstep_sums
-from .chaos import (
-    _has_closed_form,
-    approx_first_chaos,
-    default_lambda_hat,
-    first_chaos,
-    intensity_moment_integrals,
-)
+from ._lockstep import replication_sums
+from .chaos import default_lambda_hat
 from .errors import NumericError, ParameterError
 from .kernels import resolvent
 from .model import (
@@ -33,7 +27,7 @@ from .model import (
     TestFunction,
     unit_variance_indicator,
 )
-from .simulator import SimConfig, default_burn_in, simulate
+from .simulator import SimConfig, default_burn_in
 from .stats import SampleSet, bootstrap_w1_se, empirical_w1_to_normal, kolmogorov_to_normal
 
 #: fixed slack added to every bound-respect comparison so a guaranteed bound
@@ -84,62 +78,28 @@ def replicate_innovations(
     each.  Replication k uses the stream keyed by (seed, k), so results do not
     depend on execution order.
 
-    Exponential kernels with the linear or the saturating-exp link take the
-    lockstep engine, which thins all paths at once and integrates the
-    compensator in closed form as it goes; box and tabulated kernels and the
-    tanh link run ``simulate`` and ``first_chaos`` path by path.  Both give
-    the same numbers to rounding.
+    The sums come from ``_lockstep.replication_sums``, which thins exponential
+    kernels with the linear or the saturating-exp link in lockstep and gives
+    the numbers of ``simulate`` and ``first_chaos`` to rounding.
     """
     if n_reps < 1:
         raise ParameterError(f"need at least 1 replication, got {n_reps}")
     # the typed errors of SimConfig for t_end, burn_in and seed
     SimConfig(params=params, t_end=t_end, burn_in=burn_in, seed=seed, replication=n_reps - 1)
-    if _has_closed_form(params.kernel, params.link):
-        event_sum, integrals = lockstep_sums(
-            params, u, t_end, burn_in, n_reps, seed, collect_moments
-        )
-        compensator = integrals[0]
-        lam_hat = default_lambda_hat(params)
-        return ReplicationSet(
-            delta=event_sum - compensator,
-            event_sum=event_sum,
-            compensator=compensator,
-            quad_err=np.zeros(n_reps),
-            delta_approx=event_sum - lam_hat * u.integral(),
-            lambda_hat=lam_hat,
-            u2_lambda=integrals[1] if collect_moments else None,
-            u3_lambda=integrals[2] if collect_moments else None,
-        )
-    delta = np.empty(n_reps)
-    event_sum = np.empty(n_reps)
-    compensator = np.empty(n_reps)
-    quad_err = np.empty(n_reps)
-    delta_a = np.empty(n_reps)
-    m2 = np.empty(n_reps) if collect_moments else None
-    m3 = np.empty(n_reps) if collect_moments else None
-    lam_hat = None
-    for k in range(n_reps):
-        cfg = SimConfig(params=params, t_end=t_end, burn_in=burn_in, seed=seed, replication=k)
-        stream, path = simulate(cfg)
-        s = first_chaos(stream, path, u)
-        sa = approx_first_chaos(stream, u, params)
-        delta[k] = s.value
-        event_sum[k] = s.event_sum
-        compensator[k] = s.compensator
-        quad_err[k] = s.quad_error
-        delta_a[k] = sa.value
-        lam_hat = sa.lambda_hat
-        if collect_moments:
-            m2[k], m3[k] = intensity_moment_integrals(path, u)
+    event_sum, integrals, quad_err = replication_sums(
+        params, u, t_end, burn_in, n_reps, seed, collect_moments
+    )
+    compensator = integrals[0]
+    lam_hat = default_lambda_hat(params)
     return ReplicationSet(
-        delta=delta,
+        delta=event_sum - compensator,
         event_sum=event_sum,
         compensator=compensator,
         quad_err=quad_err,
-        delta_approx=delta_a,
+        delta_approx=event_sum - lam_hat * u.integral(),
         lambda_hat=lam_hat,
-        u2_lambda=m2,
-        u3_lambda=m3,
+        u2_lambda=integrals[1] if collect_moments else None,
+        u3_lambda=integrals[2] if collect_moments else None,
     )
 
 

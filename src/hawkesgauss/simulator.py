@@ -117,16 +117,18 @@ def _kernel_terms(kernel, ages: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _excitation(kernel, events, s_plus, t: float, n: int) -> float:
+def _excitation(kernel, events, s_plus, t: float, n: int, side: str = "left") -> float:
     """S at t from the first n events, none of them after t: n counts the
-    events before t for the left limit S(t), and also those at t for the
-    right limit S(t+), where an event at t weighs h(0+)."""
+    events before t for the left limit S(t) (side="left"), and also those at
+    t for the right limit S(t+) (side="right"), where an event at t weighs
+    h(0+) and an event whose term ends at t no longer counts."""
     if n == 0:
         return 0.0
     if isinstance(kernel, ExponentialKernel):
         return s_plus[n - 1] * math.exp(-kernel.rate * (t - events[n - 1]))
-    # the window of events that h still reaches: [t - support_end, t]
-    lo = bisect_left(events, t - kernel.support_end, 0, n)
+    # the events that h still reaches: from t - support_end on, that end
+    # included for the left limit only
+    lo = (bisect_right if side == "right" else bisect_left)(events, t - kernel.support_end, 0, n)
     if isinstance(kernel, BoxKernel):
         return (n - lo) * kernel.jump
     return float(_kernel_terms(kernel, t - np.asarray(events[lo:n])).sum())
@@ -169,7 +171,7 @@ def simulate(
     # every recorded event is at or before t and before t_cand, so both
     # evaluations use all of them: S(t+) for the envelope, S(t_cand) for lambda
     while True:
-        lam_bar = float(envelope(_excitation(kernel, events, s_plus, t, len(events))))
+        lam_bar = float(envelope(_excitation(kernel, events, s_plus, t, len(events), "right")))
         if lam_bar <= 0:
             raise _rate_error(lam_bar, t)
         u_wait, u_accept = next(draws)
@@ -249,9 +251,9 @@ class IntensityPath:
         return _excitation(self.kernel, self.events, self.s_plus, t, n)
 
     def excitation_after(self, t: float) -> float:
-        """Right limit S(t+), counting an event at t with weight h(0+)."""
+        """Right limit S(t+): an event at t weighs h(0+), one expiring at t nothing."""
         n = bisect_right(self.events, t)
-        return _excitation(self.kernel, self.events, self.s_plus, t, n)
+        return _excitation(self.kernel, self.events, self.s_plus, t, n, "right")
 
     def _excitation_at(self, ts: np.ndarray, side: str) -> np.ndarray:
         """S at each of the times ``ts``: the left limit S(t) for side="left",
@@ -267,7 +269,7 @@ class IntensityPath:
             age = np.where(n > 0, ts - events[last], np.inf)
             return np.asarray(self.s_plus)[last] * np.exp(-kernel.rate * age)
         # the windows of _excitation
-        lo = np.searchsorted(events, ts - kernel.support_end, "left")
+        lo = np.searchsorted(events, ts - kernel.support_end, side)
         if isinstance(kernel, BoxKernel):
             return (n - lo) * kernel.jump
         # every window in one flat gather, summed per time; taking the

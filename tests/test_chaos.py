@@ -180,6 +180,19 @@ class TestFirstChaos:
             s = hg.first_chaos(stream, path, u, quad_tol=0.0)
         assert s.quad_error > 0.0  # value still returned
 
+    def test_error_estimate_weighs_pieces_by_absolute_value(self):
+        # the estimate bounds the error of each piece, so a sign of w cannot
+        # cancel it: w, -w and |w| share one estimate
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+        _, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
+        bp = (0.0, 2.5, 6.0, 10.0)
+        errs = [
+            weighted_intensity_integral(path, hg.TestFunction(bp, vals))[1]
+            for vals in [(1.0, -2.0, 0.5), (-1.0, 2.0, -0.5), (1.0, 2.0, 0.5)]
+        ]
+        assert errs[0] > 0.0
+        assert errs[0] == errs[1] == errs[2]
+
     def test_mean_zero_small(self):
         p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.3), hg.LinearLink(1.0))
         u = hg.unit_variance_indicator(1.0, 0.3, 30.0)

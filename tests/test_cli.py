@@ -57,6 +57,31 @@ class TestConfigParsing:
             assert again == cfg
             assert config_hash(again) == config_hash(cfg)
 
+    def test_hash_is_pinned(self):
+        # provenance lines of earlier CSVs carry these hashes
+        assert config_hash(parse_config(LINEAR_CONFIG)) == "57328b329dfe"
+        assert config_hash(parse_config(NONLINEAR_CONFIG)) == "1b335be9c745"
+
+    @pytest.mark.parametrize(
+        "line", ["width = 1.5\n", "cap = 3.0\n", "values = 1.0, -0.5\n"]
+    )
+    def test_missing_form_key_rejected(self, line):
+        assert line in NONLINEAR_CONFIG
+        with pytest.raises(ConfigError, match="missing required key"):
+            parse_config(NONLINEAR_CONFIG.replace(line, ""))
+
+    @pytest.mark.parametrize(
+        "line,bad",
+        [
+            ("form = exponential", "form = gaussian"),
+            ("form = linear", "form = relu"),
+            ("kind = indicator", "kind = ramp"),
+        ],
+    )
+    def test_unknown_form_rejected(self, line, bad):
+        with pytest.raises(ConfigError, match="must be"):
+            parse_config(LINEAR_CONFIG.replace(line, bad))
+
     def test_build_objects(self):
         cfg = parse_config(LINEAR_CONFIG)
         params = cfg.build_params()

@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 import hawkesgauss as hg
-from hawkesgauss import _lockstep, experiments
-from hawkesgauss.chaos import approx_first_chaos, first_chaos, intensity_moment_integrals
+from hawkesgauss import _lockstep
+from hawkesgauss.chaos import (
+    approx_first_chaos,
+    default_lambda_hat,
+    first_chaos,
+    intensity_moment_integrals,
+)
 from hawkesgauss.errors import ParameterError, SimulationError
 from hawkesgauss.experiments import (
     PRESETS,
@@ -78,30 +83,74 @@ def bad_link(link_cls, *args):
     return link
 
 
+def per_path_cases():
+    """(name, params, u, t_end, burn_in) of the per-path route: a box kernel
+    with a signed multi-step u and burn-in, a tabulated kernel and the tanh
+    link."""
+    steps = hg.TestFunction((1.0, 2.5, 4.0, 7.0, 9.5), (0.7, -1.2, 0.0, 2.0))
+    box = hg.HawkesParams(hg.BoxKernel(0.8, 0.5), hg.SaturatingExpLink(1.0, 2.5))
+    tab = hg.HawkesParams(hg.TabulatedKernel(0.25, (0.8, 0.4, 0.2, 0.1)), hg.TanhLink(1.0, 2.0))
+    exp_tanh = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.5), hg.TanhLink(1.0, 2.0))
+    return [
+        ("box_saturating", box, steps, 10.0, 3.0),
+        ("tabulated_tanh", tab, hg.TestFunction((0.0, 2.0, 6.0), (1.0, 0.5)), 6.0, 1.0),
+        ("exponential_tanh", exp_tanh, steps, 10.0, 2.0),
+    ]
+
+
+#: the fields of ``ReplicationSet`` in the row order of ``single_path_oracle``
+ORACLE_FIELDS = ("delta", "event_sum", "compensator", "u2_lambda", "u3_lambda", "delta_approx",
+                 "quad_err")
+
+
+def single_path_oracle(params, u, t_end, burn_in, n, seed):
+    """One row per field of ORACLE_FIELDS over n replications, each path from
+    ``simulate`` through the single-path functions of ``chaos``."""
+    ref = np.empty((7, n))
+    for k in range(n):
+        stream, path = hg.simulate(hg.SimConfig(params, t_end, burn_in, seed, k))
+        s = first_chaos(stream, path, u)
+        ref[:3, k] = s.value, s.event_sum, s.compensator
+        ref[3:5, k] = intensity_moment_integrals(path, u)
+        ref[5, k] = approx_first_chaos(stream, u, params).value
+        ref[6, k] = s.quad_error
+    return ref
+
+
 class TestLockstepEngine:
     @pytest.mark.parametrize("name,params,u,t_end,burn_in", lockstep_cases())
     def test_matches_simulate_per_path(self, name, params, u, t_end, burn_in, monkeypatch):
         n, seed = 25, 31
-        ref = np.empty((6, n))
-        for k in range(n):
-            stream, path = hg.simulate(hg.SimConfig(params, t_end, burn_in, seed, k))
-            s = first_chaos(stream, path, u)
-            ref[:3, k] = s.value, s.event_sum, s.compensator
-            ref[3:5, k] = intensity_moment_integrals(path, u)
-            ref[5, k] = approx_first_chaos(stream, u, params).value
+        ref = single_path_oracle(params, u, t_end, burn_in, n, seed)
 
         def per_path(*args, **kwargs):
             raise AssertionError("the batch path must not call simulate")
 
-        monkeypatch.setattr(experiments, "simulate", per_path)
+        monkeypatch.setattr(_lockstep, "simulate", per_path)
         reps = replicate_innovations(params, u, t_end, burn_in, n, seed, collect_moments=True)
-        got = [reps.delta, reps.event_sum, reps.compensator, reps.u2_lambda, reps.u3_lambda,
-               reps.delta_approx]
         # relative to each quantity's largest value over the replications: a
         # delta or a signed event sum near 0 has no relative precision of its own
-        for g, r in zip(got, ref):
-            np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r)))
+        for field, r in zip(ORACLE_FIELDS[:6], ref):
+            np.testing.assert_allclose(
+                getattr(reps, field), r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r))
+            )
         assert np.all(reps.quad_err == 0.0)
+
+    @pytest.mark.parametrize("name,params,u,t_end,burn_in", per_path_cases())
+    @pytest.mark.parametrize("moments", [True, False])
+    def test_per_path_route_equals_single_path_oracle(
+        self, name, params, u, t_end, burn_in, moments
+    ):
+        n, seed = 12, 31
+        ref = single_path_oracle(params, u, t_end, burn_in, n, seed)
+        reps = replicate_innovations(params, u, t_end, burn_in, n, seed, collect_moments=moments)
+        for field, r in zip(ORACLE_FIELDS, ref):
+            got = getattr(reps, field)
+            if field in ("u2_lambda", "u3_lambda") and not moments:
+                assert got is None
+            else:
+                assert np.array_equal(got, r), field
+        assert reps.lambda_hat == default_lambda_hat(params)
 
     @pytest.mark.parametrize("knob,values", [("_block_size", (2, 10, 500)), ("_CHUNK", (1, 7, 40))])
     def test_blocks_and_chunks_do_not_change_numbers(self, knob, values, monkeypatch):

@@ -196,6 +196,22 @@ class TestIntensityAt:
         assert path.excitation_before(2.0) == pytest.approx(k(1.0), rel=1e-15)
         assert path.excitation_after(2.0) == pytest.approx(k(1.0) + k.jump, rel=1e-15)
 
+    @pytest.mark.parametrize(
+        "kernel,expiry,last",
+        [(hg.BoxKernel(1.0, 0.5), 2.0, 0.5), (hg.TabulatedKernel(0.1, (0.5, 0.3, 0.2)), 1.2, 0.2)],
+        ids=["box", "tabulated"],
+    )
+    def test_right_limit_at_expiry(self, kernel, expiry, last):
+        # the term of the event at 1 ends at the expiry: the left limit there
+        # still holds its last value, the right limit no longer counts it
+        path = hg.IntensityPath.build((1.0,), kernel, hg.LinearLink(1.0), 0.0, 10.0)
+        assert path.excitation_before(expiry) == pytest.approx(last, rel=1e-12)
+        assert path.excitation_after(expiry) == 0.0
+        assert path.excitation_after(expiry + 1e-12) == 0.0
+        ts = np.array([expiry])
+        assert path._excitation_at(ts, "left")[0] == pytest.approx(last, rel=1e-12)
+        assert path._excitation_at(ts, "right")[0] == 0.0
+
     @pytest.mark.parametrize("kind", KERNELS)
     @pytest.mark.parametrize(
         "events", [(), (1.0, 2.0, 2.5), "thinned"], ids=["empty", "three", "thinned"]

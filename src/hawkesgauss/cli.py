@@ -18,6 +18,7 @@ from .config import RunConfig, config_hash, parse_config
 from .errors import ConfigError, ParameterError, SimulationError, StabilityError
 from .experiments import (
     PRESETS,
+    SWEEP_FAMILIES,
     provenance_line,
     run_bound_vs_empirical,
     run_rate_sweep,
@@ -25,7 +26,7 @@ from .experiments import (
     write_samples_csv,
     write_sweep_csv,
 )
-from .simulator import SimConfig, default_burn_in, simulate
+from .simulator import SimConfig, burn_in_for, simulate
 from .stats import confidence_interval
 
 EXIT_OK = 0
@@ -84,7 +85,7 @@ def _load_config(args) -> RunConfig:
 def _effective_burn_in(cfg: RunConfig, params) -> float:
     if cfg.burn_in is not None:
         return cfg.burn_in
-    return default_burn_in(params) if cfg.mode == "stationary" else 0.0
+    return burn_in_for(params, cfg.mode == "stationary")
 
 
 def _cmd_simulate(args) -> int:
@@ -140,10 +141,10 @@ def _cmd_experiment(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     prov = provenance_line(__version__, config_hash(cfg), cfg.seed)
 
-    if name in ("sweep-nonlinear", "sweep-linear"):
+    family = name.removeprefix("sweep-")
+    if family != name and family in SWEEP_FAMILIES:
         if cfg.eps_grid is None:
             raise ConfigError(f"experiment {name!r} needs [experiment] eps_grid")
-        family = "nonlinear" if name == "sweep-nonlinear" else "linear"
         result = run_rate_sweep(
             family, cfg.eps_grid, n_reps=cfg.reps, seed=cfg.seed, nu=dict(cfg.link)["nu"]
         )

@@ -27,7 +27,7 @@ from .model import (
     TestFunction,
     unit_variance_indicator,
 )
-from .simulator import SimConfig, default_burn_in
+from .simulator import SimConfig, burn_in_for
 from .stats import SampleSet, bootstrap_w1_se, empirical_w1_to_normal, kolmogorov_to_normal
 
 #: fixed slack added to every bound-respect comparison so a guaranteed bound
@@ -109,78 +109,42 @@ def replicate_innovations(
 
 @dataclass(frozen=True)
 class Preset:
+    """A shipped run: u is the unit-variance indicator on (0, t_end]."""
+
     name: str
     params: HawkesParams
-    u: TestFunction
+    u: TestFunction = field(init=False)
     t_end: float
-    burn_in: float
+    burn_in: float = field(init=False)
     stationary: bool
     description: str
 
+    def __post_init__(self):
+        p = self.params
+        object.__setattr__(self, "u", unit_variance_indicator(p.phi0, p.alpha_mu, self.t_end))
+        object.__setattr__(self, "burn_in", burn_in_for(p, self.stationary))
 
-def _make_presets() -> dict:
-    presets = {}
 
-    p = HawkesParams(ExponentialKernel(rate=1.0, mass=0.0), LinearLink(nu=1.0))
-    presets["poisson"] = Preset(
-        name="poisson",
-        params=p,
-        u=TestFunction((0.0, 1.0), (1.0,)),
-        t_end=1.0,
-        burn_in=0.0,
-        stationary=False,
-        description="no excitation: unit-rate count on (0, 1]",
+def _exp_params(mass: float, link) -> HawkesParams:
+    return HawkesParams(ExponentialKernel(rate=1.0, mass=mass), link)
+
+
+#: the shipped presets, one row each: (name, params, t_end, stationary, description)
+PRESETS = {
+    row[0]: Preset(*row)
+    for row in (
+        ("poisson", _exp_params(0.0, LinearLink(nu=1.0)), 1.0, False,
+         "no excitation: unit-rate count on (0, 1]"),
+        ("linear", _exp_params(0.5, LinearLink(nu=2.0)), 25.0, True,
+         "linear link nu=2, exponential kernel mass 0.5"),
+        ("indicator_mild", _exp_params(0.1, LinearLink(nu=1.0)), 100.0, True,
+         "normalized indicator, branching ratio 0.1"),
+        ("indicator_moderate", _exp_params(0.3, LinearLink(nu=1.0)), 100.0, True,
+         "normalized indicator, branching ratio 0.3"),
+        ("saturating", _exp_params(0.5, SaturatingExpLink(nu=1.0, cap=3.0)), 50.0, False,
+         "saturating nonlinear link, branching ratio 0.5"),
     )
-
-    p = HawkesParams(ExponentialKernel(rate=1.0, mass=0.5), LinearLink(nu=2.0))
-    presets["linear"] = Preset(
-        name="linear",
-        params=p,
-        u=unit_variance_indicator(2.0, 0.5, 25.0),
-        t_end=25.0,
-        burn_in=default_burn_in(p),
-        stationary=True,
-        description="linear link nu=2, exponential kernel mass 0.5",
-    )
-
-    p = HawkesParams(ExponentialKernel(rate=1.0, mass=0.1), LinearLink(nu=1.0))
-    presets["indicator_mild"] = Preset(
-        name="indicator_mild",
-        params=p,
-        u=unit_variance_indicator(1.0, 0.1, 100.0),
-        t_end=100.0,
-        burn_in=default_burn_in(p),
-        stationary=True,
-        description="normalized indicator, branching ratio 0.1",
-    )
-
-    p = HawkesParams(ExponentialKernel(rate=1.0, mass=0.3), LinearLink(nu=1.0))
-    presets["indicator_moderate"] = Preset(
-        name="indicator_moderate",
-        params=p,
-        u=unit_variance_indicator(1.0, 0.3, 100.0),
-        t_end=100.0,
-        burn_in=default_burn_in(p),
-        stationary=True,
-        description="normalized indicator, branching ratio 0.3",
-    )
-
-    p = HawkesParams(
-        ExponentialKernel(rate=1.0, mass=0.5), SaturatingExpLink(nu=1.0, cap=3.0)
-    )
-    presets["saturating"] = Preset(
-        name="saturating",
-        params=p,
-        u=unit_variance_indicator(1.0, 0.5, 50.0),
-        t_end=50.0,
-        burn_in=0.0,
-        stationary=False,
-        description="saturating nonlinear link, branching ratio 0.5",
-    )
-    return presets
-
-
-PRESETS = _make_presets()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +250,12 @@ def run_bound_vs_empirical(
 # Epsilon sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_FAMILIES = ("nonlinear", "linear")
+#: each sweep family's (leading bound, stationary); a stationary family also
+#: reports the linear-case bounds and checks the spectral conditions
+SWEEP_FAMILIES = {
+    "nonlinear": ("nonlinear", False),
+    "linear": ("linear_spectral", True),
+}
 
 
 @dataclass(frozen=True)
@@ -324,11 +293,10 @@ def run_rate_sweep(
     n_reps: int = DEFAULT_REPS,
     seed: int = 0,
     nu: float = 1.0,
-    kernel_rate: float = 1.0,
     with_empirical: bool = True,
 ) -> SweepResult:
-    """Sweep the kernel mass eps over a decreasing grid with the matched
-    indicator support (0, 1/eps].
+    """Sweep the mass eps of a rate-1 exponential kernel over a decreasing
+    grid with the matched indicator support (0, 1/eps].
 
     Family ``nonlinear`` reports the general bounds on from-empty-past runs;
     family ``linear`` reports all linear-case bounds on burned-in runs and
@@ -339,7 +307,10 @@ def run_rate_sweep(
     0.2 to 0.025 and nears 0.5 only for eps below about 1e-3.
     """
     if family not in SWEEP_FAMILIES:
-        raise ParameterError(f"unknown sweep family {family!r}; choose from {SWEEP_FAMILIES}")
+        raise ParameterError(
+            f"unknown sweep family {family!r}; choose from {tuple(SWEEP_FAMILIES)}"
+        )
+    slope_bound, stationary = SWEEP_FAMILIES[family]
     grid = [float(e) for e in eps_grid]
     if not grid or any(not (0.0 < e < 1.0) for e in grid):
         raise ParameterError(f"eps grid must lie strictly inside (0, 1), got {grid}")
@@ -350,13 +321,10 @@ def run_rate_sweep(
 
     rows = []
     for i, eps in enumerate(grid):
-        kernel = ExponentialKernel(rate=kernel_rate, mass=eps)
-        params = HawkesParams(kernel, LinearLink(nu=nu))
+        params = _exp_params(eps, LinearLink(nu=nu))
         am = params.alpha_mu
         ell = 1.0 / eps
         u = unit_variance_indicator(nu, am, ell)
-        stationary = family == "linear"
-        burn_in = default_burn_in(params) if stationary else 0.0
 
         reports = evaluate_all(params, u, stationary=stationary)
         bound_totals = {r.name: r.total for r in reports}
@@ -372,8 +340,8 @@ def run_rate_sweep(
         }
 
         conditions = None
-        if family == "linear":
-            conditions = compare_conditions(nu, kernel, u)
+        if stationary:
+            conditions = compare_conditions(nu, params.kernel, u)
             tol = 1e-9 * max(1.0, bound_totals["linear"])
             if conditions["cond_i"] and not (
                 bound_totals["linear_spectral"] <= bound_totals["linear"] + tol
@@ -390,8 +358,7 @@ def run_rate_sweep(
         w1 = se = None
         if with_empirical:
             reps = replicate_innovations(
-                params, u, t_end=ell, burn_in=burn_in, n_reps=n_reps,
-                seed=seed + i,
+                params, u, ell, burn_in_for(params, stationary), n_reps, seed + i
             )
             s = SampleSet(reps.delta, provenance={"family": family, "eps": eps, "seed": seed + i})
             w1, _ = check_ks_w1(s)
@@ -413,7 +380,6 @@ def run_rate_sweep(
             )
         )
 
-    slope_bound = "nonlinear" if family == "nonlinear" else "linear_spectral"
     slope = fit_loglog_slope(grid, [r.bounds[slope_bound] for r in rows])
     return SweepResult(family=family, rows=tuple(rows), slope=slope, slope_bound=slope_bound)
 

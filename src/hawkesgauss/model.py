@@ -399,7 +399,6 @@ class EventStream:
 
     times: tuple
     window: tuple
-    burn_in: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
@@ -413,8 +412,6 @@ class EventStream:
                 raise ParameterError("event times must be strictly ascending")
             if arr[0] <= t0 or arr[-1] > t1:
                 raise ParameterError("event times must lie in (t_start, t_end]")
-        if self.burn_in < 0:
-            raise ParameterError(f"burn_in must be >= 0, got {self.burn_in}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "window", (t0, t1))
 

@@ -1,8 +1,8 @@
 """Event-stream generation.
 
 ``simulate`` thins one path: Ogata-style thinning with a per-event
-dominating rate, valid because the built-in kernels are nonincreasing and the
-links nondecreasing, so the intensity only decays between events.
+dominating rate, valid because the links are nondecreasing and the envelope
+sums the kernel's nonincreasing majorant, which only decays between events.
 
 The excitation state is the event list plus, for exponential kernels, the
 right limits ``s_plus`` after each event.  One append step records it, and
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .model import (
     EventStream,
     ExponentialKernel,
     HawkesParams,
+    TabulatedKernel,
 )
 
 
@@ -101,13 +101,32 @@ def _envelope_error(lam_cand: float, lam_bar: float, t: float) -> SimulationErro
     )
 
 
-def default_burn_in(params: HawkesParams, tail_fraction: float = 1e-4) -> float:
+#: share of the resolvent mass that ``default_burn_in`` leaves beyond the burn-in
+BURN_IN_TAIL = 1e-4
+
+
+def default_burn_in(params: HawkesParams) -> float:
     """Burn-in long enough that the resolvent mass beyond it is below
-    ``tail_fraction`` of its total (``kernels.default_horizon``); 0 when
+    ``BURN_IN_TAIL`` of its total (``kernels.default_horizon``); 0 when
     there is no excitation."""
     if params.alpha_mu <= 0:
         return 0.0
-    return default_horizon(params.kernel, params.link.lipschitz, tail_fraction)
+    return default_horizon(params.kernel, params.link.lipschitz, BURN_IN_TAIL)
+
+
+def burn_in_for(params: HawkesParams, stationary: bool) -> float:
+    """The start rule: how long before 0 a run starts from an empty past.  A
+    stationary run, under which the linear and spectral bounds hold, takes
+    ``default_burn_in``; an R+ run, where the nonlinear bound holds, starts at 0."""
+    return default_burn_in(params) if stationary else 0.0
+
+
+def _majorant(kernel):
+    """The least nonincreasing kernel above ``kernel`` on its grid: itself, or
+    for a rising tabulated kernel the reversed running maximum of its values."""
+    if kernel.is_nonincreasing:
+        return kernel
+    return TabulatedKernel(kernel.step, np.maximum.accumulate(kernel.values[::-1])[::-1])
 
 
 def _kernel_terms(kernel, ages: np.ndarray) -> np.ndarray:
@@ -143,24 +162,13 @@ def _append_event(kernel, events: list, s_plus: list, t: float) -> None:
     events.append(t)
 
 
-def simulate(
-    cfg: SimConfig,
-    dominating_rate: Callable[[float], float] | None = None,
-) -> tuple[EventStream, "IntensityPath"]:
-    """Thinning simulation on (-burn_in, t_end] from an empty past.
-
-    The dominating rate after each accepted or rejected candidate is
-    phi(S(t+)), exact for nonincreasing kernels.  Tabulated kernels that are
-    not nonincreasing need ``dominating_rate``, a map from the post-event
-    excitation sum to a bound on all later intensity values.
-    """
+def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
+    """Thinning simulation on (-burn_in, t_end] from an empty past.  The
+    dominating rate after each candidate is phi(S(t+)), S summed over the
+    kernel's nonincreasing majorant: exact for nonincreasing kernels."""
     params = cfg.params
     kernel, link = params.kernel, params.link
-    if kernel.l1_norm() > 0 and not kernel.is_nonincreasing and dominating_rate is None:
-        raise SimulationError(
-            "kernel is not nonincreasing: supply dominating_rate to bound the intensity"
-        )
-    envelope = dominating_rate if dominating_rate is not None else link
+    majorant = _majorant(kernel)
 
     draws = _candidate_draws(rng_for(cfg.seed, cfg.replication), _block_size(1))
     t_start = -cfg.burn_in
@@ -171,7 +179,7 @@ def simulate(
     # every recorded event is at or before t and before t_cand, so both
     # evaluations use all of them: S(t+) for the envelope, S(t_cand) for lambda
     while True:
-        lam_bar = float(envelope(_excitation(kernel, events, s_plus, t, len(events), "right")))
+        lam_bar = float(link(_excitation(majorant, events, s_plus, t, len(events), "right")))
         if lam_bar <= 0:
             raise _rate_error(lam_bar, t)
         u_wait, u_accept = next(draws)
@@ -188,7 +196,6 @@ def simulate(
     stream = EventStream(
         times=tuple(e for e in events if e > 0.0),
         window=(0.0, cfg.t_end),
-        burn_in=cfg.burn_in,
         seed=cfg.seed,
     )
     path = IntensityPath(
@@ -362,11 +369,6 @@ def embedding_simulate(
         kept = times[accepted]
         kept = kept[kept > 0.0]
         streams.append(
-            EventStream(
-                times=tuple(kept),
-                window=(0.0, cfg.t_end),
-                burn_in=cfg.burn_in,
-                seed=cfg.seed,
-            )
+            EventStream(times=tuple(kept), window=(0.0, cfg.t_end), seed=cfg.seed)
         )
     return streams

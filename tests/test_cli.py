@@ -2,9 +2,10 @@
 
 import pytest
 
+from hawkesgauss import cli
 from hawkesgauss.cli import main
 from hawkesgauss.config import config_hash, parse_config, serialize_config
-from hawkesgauss.errors import ConfigError
+from hawkesgauss.errors import ConfigError, SimulationError
 
 LINEAR_CONFIG = """\
 [kernel]
@@ -188,28 +189,12 @@ class TestCommands:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path)]) == 2
 
-    def test_simulation_error_exits_3(self, tmp_path, capsys):
-        # a tabulated kernel that is not nonincreasing cannot be thinned
-        # without a dominating-rate callback, which the CLI does not take
-        text = """\
-[kernel]
-form = tabulated
-step = 0.5
-values = 0.0, 0.4, 0.1
+    def test_simulation_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def failing_simulate(cfg):
+            raise SimulationError("candidate intensity exceeds dominating rate", time=1.5)
 
-[link]
-form = linear
-nu = 1.0
-
-[u]
-kind = indicator
-ell = 5.0
-
-[sim]
-t_end = 5.0
-seed = 1
-"""
-        cfg = self.write(tmp_path, text)
+        monkeypatch.setattr(cli, "simulate", failing_simulate)
+        cfg = self.write(tmp_path, LINEAR_CONFIG)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "simulation error" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from hawkesgauss.chaos import (
 from hawkesgauss.errors import ParameterError, SimulationError
 from hawkesgauss.experiments import (
     PRESETS,
+    SWEEP_FAMILIES,
     check_ks_w1,
     fit_loglog_slope,
     provenance_line,
@@ -45,6 +46,47 @@ class TestPresets:
             assert preset.params.alpha_mu < 1
             lo, hi = preset.u.support
             assert 0.0 <= lo and hi <= preset.t_end
+
+    # (kernel, link, u breakpoints, u values, t_end, stationary, burn_in) of
+    # every preset, to the last bit
+    PINNED = {
+        "poisson": (
+            hg.ExponentialKernel(1.0, 0.0), hg.LinearLink(1.0),
+            (0.0, 1.0), (1.0,), 1.0, False, 0.0,
+        ),
+        "linear": (
+            hg.ExponentialKernel(1.0, 0.5), hg.LinearLink(2.0),
+            (0.0, 25.0), (0.1,), 25.0, True, 18.420680743952364,
+        ),
+        "indicator_mild": (
+            hg.ExponentialKernel(1.0, 0.1), hg.LinearLink(1.0),
+            (0.0, 100.0), (0.09486832980505139,), 100.0, True, 10.233711524417979,
+        ),
+        "indicator_moderate": (
+            hg.ExponentialKernel(1.0, 0.3), hg.LinearLink(1.0),
+            (0.0, 100.0), (0.08366600265340755,), 100.0, True, 13.157629102823117,
+        ),
+        "saturating": (
+            hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0),
+            (0.0, 50.0), (0.1,), 50.0, False, 0.0,
+        ),
+    }
+
+    def test_pinned_fields(self):
+        assert list(PRESETS) == list(self.PINNED)
+        for name, preset in PRESETS.items():
+            got = (
+                preset.params.kernel, preset.params.link, preset.u.breakpoints,
+                preset.u.values, preset.t_end, preset.stationary, preset.burn_in,
+            )
+            assert preset.name == name
+            assert got == self.PINNED[name], name
+
+    def test_sweep_families_pinned(self):
+        assert list(SWEEP_FAMILIES) == ["nonlinear", "linear"]
+        for family, slope_bound in (("nonlinear", "nonlinear"), ("linear", "linear_spectral")):
+            result = run_rate_sweep(family, [0.2, 0.1], with_empirical=False)
+            assert result.slope_bound == slope_bound
 
 
 class TestReplicateInnovations:

@@ -242,7 +242,7 @@ class TestHawkesParams:
 
 class TestEventStream:
     def test_roundtrip(self):
-        s = hg.EventStream((0.5, 1.25, 2.0), (0.0, 2.0), burn_in=1.0, seed=42)
+        s = hg.EventStream((0.5, 1.25, 2.0), (0.0, 2.0), seed=42)
         text = s.serialize()
         assert text.splitlines()[0] == "# window 0.0 2.0 42"
         back = hg.EventStream.parse(text)

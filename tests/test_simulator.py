@@ -10,6 +10,7 @@ import hawkesgauss as hg
 from hawkesgauss.chaos import weighted_intensity_integral
 from hawkesgauss import simulator
 from hawkesgauss.errors import ParameterError, SimulationError, TruncationError
+from hawkesgauss.experiments import replicate_innovations
 from hawkesgauss.simulator import rng_for
 
 
@@ -74,23 +75,37 @@ class TestSimulate:
         s, _ = hg.simulate(hg.SimConfig(p, 200.0, seed=6))
         assert abs(len(s) / 200.0 - 1.0 / (1.0 - p.alpha_mu)) < 0.4
 
-    def test_increasing_tabulated_needs_envelope(self):
-        k = hg.TabulatedKernel(0.1, (0.0, 0.5, 0.0))  # bump, not nonincreasing
-        p = hg.HawkesParams(k, hg.SaturatingExpLink(1.0, 2.0))
-        cfg = hg.SimConfig(p, 50.0, seed=8)
-        with pytest.raises(SimulationError):
-            hg.simulate(cfg)
-        # the saturating link is capped, so a constant envelope is valid
-        s, _ = hg.simulate(cfg, dominating_rate=lambda s_plus: 2.0)
-        assert len(s) > 0
-
-    def test_dominating_rate_violation_names_time(self):
-        # an envelope below the true intensity is caught at the first
-        # candidate that exceeds it
+    def test_rising_tabulated_kernel_simulates(self):
+        # a bump: thinning bounds the intensity with the kernel's nonincreasing
+        # majorant, so no envelope has to be supplied on any route
         k = hg.TabulatedKernel(0.5, (0.0, 0.4, 0.1))
+        assert not k.is_nonincreasing
         p = hg.HawkesParams(k, hg.LinearLink(1.0))
+        t_end = 4000.0
+        s, _ = hg.simulate(hg.SimConfig(p, t_end, burn_in=20.0, seed=8))
+        m = p.alpha_mu
+        # the count's stationary variance is nu*t/(1-m)^3
+        se = math.sqrt(1.0 / (1.0 - m) ** 3 / t_end)
+        assert abs(len(s) / t_end - 1.0 / (1.0 - m)) <= 4.0 * se
+        u = hg.TestFunction((0.0, 5.0), (1.0,))
+        reps = replicate_innovations(p, u, 5.0, 0.0, 20, seed=3)
+        assert np.all(np.isfinite(reps.delta))
+
+    def test_envelope_violation_names_time(self):
+        # a decreasing stand-in link lets the intensity rise between events,
+        # past the dominating rate taken after each event: the envelope check
+        # stops at the first candidate that exceeds it
+        class DecreasingLink:
+            phi0 = 2.0
+            lipschitz = 1.0
+
+            def __call__(self, x):
+                return 2.0 * np.exp(-np.asarray(x, dtype=float))
+
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), DecreasingLink())
         with pytest.raises(SimulationError) as err:
-            hg.simulate(hg.SimConfig(p, 50.0, seed=0), dominating_rate=lambda s_plus: 1.05)
+            hg.simulate(hg.SimConfig(p, 50.0, seed=0))
+        assert "exceeds dominating rate" in str(err.value)
         assert err.value.time is not None
         assert 0.0 < err.value.time <= 50.0
 

@@ -8,8 +8,9 @@ benchmark's own run length, one after the other, with the base first on odd
 seeds and the head first on even ones, so that slow drifts of the machine's
 load hit both sides alike.  The file keeps every run's end-to-end metrics and
 their medians.  ``--trace 1`` runs of ``preset-saturating`` on the same seeds
-add the per-layer chaos metrics, and the c09 acceptance test is timed once
-per checkout.  Each checkout runs its own ``benchmarks/`` on its own ``src/``.
+add the per-layer chaos and distance metrics, and the c09 acceptance test is
+timed once per checkout.  Each checkout runs its own ``benchmarks/`` on its
+own ``src/``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ LAYER_METRICS = (
     "chaos.moments.ms_per_path_p50",
     "chaos.quad_err_max",
     "chaos.segments",
+    "stats.bootstrap.s_per_call",
+    "stats.w1.ms_per_call",
 )
 
 

@@ -335,11 +335,12 @@ def embedding_simulate(
     times = np.sort(t_start + span * rng.random(n_pts))
     marks = z_cap * rng.random(n_pts)
 
-    # pairwise kernel weights between field points (w[i, j] = h(t_i - t_j) for
-    # t_j < t_i); toy scale keeps this dense matrix small
+    # pairwise weights between field points (w[i, j] = h(t_i - t_j) for
+    # t_j < t_i), for the kernel and, as in thinning, its nonincreasing
+    # majorant; toy scale keeps these dense matrices small
     diffs = times[:, None] - times[None, :]
-    weights = np.asarray(kernel(diffs), dtype=float)
-    weights[diffs <= 0] = 0.0
+    majorant = _majorant(kernel)
+    weights, bar_weights = (np.where(diffs > 0, k(diffs), 0.0) for k in (kernel, majorant))
 
     def check_cap(lam_values, where):
         worst = float(np.max(lam_values)) if lam_values.size else 0.0
@@ -359,11 +360,11 @@ def embedding_simulate(
             lam = np.zeros(0)
         check_cap(lam, f"iterate {n} at field points")
         if n_pts:
-            # the post-event right limit is the supremum between events for
-            # nonincreasing kernels; check it at the previous iterate's points
-            post = np.asarray(
-                link(excitation + np.where(accepted, kernel.jump, 0.0)), dtype=float
-            )
+            # S over the majorant is nonincreasing between events, so its
+            # post-event right limits at the previous iterate's points bound
+            # the intensity there
+            bar = bar_weights[:, accepted].sum(axis=1) + np.where(accepted, majorant.jump, 0.0)
+            post = np.asarray(link(bar), dtype=float)
             check_cap(post[accepted], f"iterate {n} after events")
         accepted = marks <= lam
         kept = times[accepted]

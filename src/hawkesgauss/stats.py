@@ -66,34 +66,30 @@ def _antideriv(x: np.ndarray) -> np.ndarray:
     return x * normal_cdf(x) + normal_pdf(x)
 
 
-def _w1_sorted(x: np.ndarray, roots: np.ndarray) -> float:
-    """Exact integral of |F_M - Phi| for sorted samples x.
+def _w1_rows(x: np.ndarray, roots: np.ndarray, a_roots: np.ndarray) -> np.ndarray:
+    """Exact integral of |F_M - Phi| for each sorted row of x, shape (B, M).
 
-    ``roots`` must be Phi^-1(i/M) for i = 1..M-1.  Between consecutive order
-    statistics the empirical CDF is the constant c = i/M, so each piece is
-    G(l) + G(r) - 2*G(clip(root)) with G(t) = A(t) - c*t; the two tails
-    integrate to A(x_1) and A(x_M) - x_M in closed form.
+    ``roots`` must be Phi^-1(i/M) for i = 1..M-1 and ``a_roots`` A(roots).
+    Between consecutive order statistics l <= r the empirical CDF is the
+    constant c = i/M, so each piece is G(l) + G(r) - 2*G(clip(root)) with
+    G(t) = A(t) - c*t, the clipped root taking A from l, r or the root; the
+    two tails integrate to A(x_1) and A(x_M) - x_M in closed form.
     """
-    m = x.size
-    total = float(_antideriv(x[0]) + (_antideriv(x[-1]) - x[-1]))
-    if m == 1:
-        return total
-    c = np.arange(1, m) / m
-    left, right = x[:-1], x[1:]
-    rc = np.clip(roots, left, right)
-    g_left = _antideriv(left) - c * left
-    g_right = _antideriv(right) - c * right
-    g_root = _antideriv(rc) - c * rc
-    total += float(np.sum(g_left + g_right - 2.0 * g_root))
-    return total
+    a_x = _antideriv(x)
+    c = np.arange(1, x.shape[1]) / x.shape[1]
+    left, right, a_left, a_right = x[:, :-1], x[:, 1:], a_x[:, :-1], a_x[:, 1:]
+    below, above = roots < left, roots > right
+    rc = np.where(below, left, np.where(above, right, roots))
+    a_rc = np.where(below, a_left, np.where(above, a_right, a_roots))
+    pieces = (a_left - c * left) + (a_right - c * right) - 2.0 * (a_rc - c * rc)
+    return a_x[:, 0] + (a_x[:, -1] - x[:, -1]) + np.sum(pieces, axis=1)
 
 
 def empirical_w1_to_normal(s: SampleSet) -> float:
     """Wasserstein-1 distance between the empirical distribution and the
     standard normal, computed exactly from the order statistics."""
-    m = s.count
-    roots = normal_quantile(np.arange(1, m) / m)
-    return _w1_sorted(s.values, roots)
+    roots = normal_quantile(np.arange(1, s.count) / s.count)
+    return float(_w1_rows(s.values[None, :], roots, _antideriv(roots))[0])
 
 
 def kolmogorov_to_normal(s: SampleSet) -> float:
@@ -106,17 +102,28 @@ def kolmogorov_to_normal(s: SampleSet) -> float:
     return float(max(np.max(upper), np.max(lower)))
 
 
+#: values that ``bootstrap_w1_se`` resamples and integrates at a time, in
+#: blocks of max(1, _BOOT_BLOCK // m) resamples; the draws do not depend on it
+_BOOT_BLOCK = 2**12
+
+
 def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
-    """Plain bootstrap standard error of the empirical W1 distance."""
-    if n_boot < 2:
-        raise ParameterError(f"n_boot must be >= 2, got {n_boot}")
+    """Plain bootstrap standard error of the empirical W1 distance; resample
+    b is the b-th ``rng.choice(values, size=m)`` of ``default_rng(seed)``."""
+    if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
+        raise ParameterError(f"n_boot must be an integer >= 2, got {n_boot!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     m = s.count
     roots = normal_quantile(np.arange(1, m) / m)
+    a_roots = _antideriv(roots)
     rng = np.random.default_rng(seed)
+    rows = max(1, _BOOT_BLOCK // m)
     stats = np.empty(n_boot)
-    for b in range(n_boot):
-        resample = np.sort(rng.choice(s.values, size=m, replace=True))
-        stats[b] = _w1_sorted(resample, roots)
+    for start in range(0, n_boot, rows):
+        k = min(rows, n_boot - start)
+        block = np.sort(rng.choice(s.values, size=(k, m), replace=True), axis=1)
+        stats[start:start + k] = _w1_rows(block, roots, a_roots)
     return float(np.std(stats, ddof=1))
 
 

@@ -318,6 +318,13 @@ class TestEmbedding:
             hg.embedding_simulate(hg.SimConfig(p, 20.0, seed=1), 3, 0.9)
         assert err.value.exceedance is not None and err.value.exceedance > 0
 
+    def test_cap_checked_over_rising_kernel_majorant(self):
+        # h(0+) = 0 rises to 1.6 at age 0.5: the post-event right limit of S
+        # misses the peak, that of the nonincreasing majorant does not
+        p = hg.HawkesParams(hg.TabulatedKernel(0.5, (0.0, 1.6, 0.0)), hg.LinearLink(1.0))
+        with pytest.raises(TruncationError):
+            hg.embedding_simulate(hg.SimConfig(p, 10.0, seed=0), 30, 6.0)
+
     def test_argument_validation(self):
         p = self.satexp_params()
         with pytest.raises(ParameterError):

@@ -111,6 +111,55 @@ class TestW1:
         assert 0.0 < se1 < 0.1
 
 
+def reference_w1_sorted(x, roots):
+    """The per-sample W1 arithmetic the row kernel must reproduce bit for bit:
+    A evaluated on both ends of every piece and on the clipped roots."""
+    def antideriv(t):
+        return t * hg.normal_cdf(t) + hg.normal_pdf(t)
+
+    m = x.size
+    total = float(antideriv(x[0]) + (antideriv(x[-1]) - x[-1]))
+    c = np.arange(1, m) / m
+    left, right = x[:-1], x[1:]
+    rc = np.clip(roots, left, right)
+    g_left = antideriv(left) - c * left
+    g_right = antideriv(right) - c * right
+    g_root = antideriv(rc) - c * rc
+    total += float(np.sum(g_left + g_right - 2.0 * g_root))
+    return total
+
+
+def reference_bootstrap_se(values, n_boot, seed):
+    """One ``rng.choice`` and one W1 per resample, in stream order."""
+    m = values.size
+    roots = hg.normal_quantile(np.arange(1, m) / m)
+    rng = np.random.default_rng(seed)
+    stats = np.empty(n_boot)
+    for b in range(n_boot):
+        stats[b] = reference_w1_sorted(np.sort(rng.choice(values, size=m, replace=True)), roots)
+    return float(np.std(stats, ddof=1))
+
+
+class TestBootstrapBlocks:
+    # m = 5000 exceeds the resampling block, so each block holds one resample;
+    # n_boot 3 and 200 are no multiple of the resamples per block at m = 7, 301
+    @pytest.mark.parametrize("m", [2, 7, 301, 5000])
+    def test_bit_identical_to_per_resample_loop(self, m):
+        rng = np.random.default_rng(m)
+        s = SampleSet(rng.standard_t(4, size=m) * 1.3 + 0.2)
+        roots = hg.normal_quantile(np.arange(1, m) / m)
+        assert hg.empirical_w1_to_normal(s) == reference_w1_sorted(s.values, roots)
+        for n_boot in (2, 3, 200):
+            seed = 11 + n_boot
+            assert hg.bootstrap_w1_se(s, n_boot, seed) == reference_bootstrap_se(s.values, n_boot, seed)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"n_boot": 2.5}, {"n_boot": 1}])
+    def test_typed_errors(self, kwargs):
+        s = SampleSet(np.linspace(-1.0, 1.0, 20))
+        with pytest.raises(ParameterError):
+            hg.bootstrap_w1_se(s, **kwargs)
+
+
 class TestKolmogorov:
     def test_point_mass(self):
         assert hg.kolmogorov_to_normal(SampleSet(np.zeros(50))) == pytest.approx(0.5)

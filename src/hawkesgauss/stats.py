@@ -1,5 +1,9 @@
 """Empirical distances to the standard normal, normal special functions,
 and the confidence-interval recipe driven by a Wasserstein bound.
+
+``scipy.special`` (about 0.3 s and 25 MB to import on a 2-vCPU x86 machine)
+is imported by the two functions that call it, so that importing the
+package, or computing bounds alone, does not load it.
 """
 
 from __future__ import annotations
@@ -8,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
 from .errors import ParameterError, StatisticalError
 
@@ -18,6 +21,8 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 def normal_cdf(x):
     """Standard normal CDF, accurate to full double precision."""
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(-x / _SQRT2)
     return out if out.ndim else float(out)
@@ -32,6 +37,8 @@ def normal_pdf(x):
 def normal_quantile(q):
     """Inverse standard normal CDF (``scipy.special.ndtri``); q must lie
     strictly in (0, 1)."""
+    from scipy.special import ndtri
+
     scalar = np.isscalar(q) or np.asarray(q).ndim == 0
     q_arr = np.atleast_1d(np.asarray(q, dtype=float))
     if np.any(~((q_arr > 0.0) & (q_arr < 1.0))):
@@ -66,16 +73,18 @@ def _antideriv(x: np.ndarray) -> np.ndarray:
     return x * normal_cdf(x) + normal_pdf(x)
 
 
-def _w1_rows(x: np.ndarray, roots: np.ndarray, a_roots: np.ndarray) -> np.ndarray:
+def _w1_rows(
+    x: np.ndarray, a_x: np.ndarray, roots: np.ndarray, a_roots: np.ndarray
+) -> np.ndarray:
     """Exact integral of |F_M - Phi| for each sorted row of x, shape (B, M).
 
-    ``roots`` must be Phi^-1(i/M) for i = 1..M-1 and ``a_roots`` A(roots).
+    ``a_x`` must be A(x), ``roots`` Phi^-1(i/M) for i = 1..M-1 and
+    ``a_roots`` A(roots).
     Between consecutive order statistics l <= r the empirical CDF is the
     constant c = i/M, so each piece is G(l) + G(r) - 2*G(clip(root)) with
     G(t) = A(t) - c*t, the clipped root taking A from l, r or the root; the
     two tails integrate to A(x_1) and A(x_M) - x_M in closed form.
     """
-    a_x = _antideriv(x)
     c = np.arange(1, x.shape[1]) / x.shape[1]
     left, right, a_left, a_right = x[:, :-1], x[:, 1:], a_x[:, :-1], a_x[:, 1:]
     below, above = roots < left, roots > right
@@ -89,7 +98,8 @@ def empirical_w1_to_normal(s: SampleSet) -> float:
     """Wasserstein-1 distance between the empirical distribution and the
     standard normal, computed exactly from the order statistics."""
     roots = normal_quantile(np.arange(1, s.count) / s.count)
-    return float(_w1_rows(s.values[None, :], roots, _antideriv(roots))[0])
+    x = s.values[None, :]
+    return float(_w1_rows(x, _antideriv(x), roots, _antideriv(roots))[0])
 
 
 def kolmogorov_to_normal(s: SampleSet) -> float:
@@ -109,7 +119,12 @@ _BOOT_BLOCK = 2**12
 
 def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
     """Plain bootstrap standard error of the empirical W1 distance; resample
-    b is the b-th ``rng.choice(values, size=m)`` of ``default_rng(seed)``."""
+    b is the b-th ``rng.choice(values, size=m)`` of ``default_rng(seed)``.
+
+    The draws are taken as the indices ``rng.integers(0, m)`` that
+    ``rng.choice`` draws; the values being sorted, the sorted indices of a
+    resample gather it sorted, with A(x) = x Phi(x) + phi(x) computed once
+    per sample value rather than once per resampled value."""
     if not isinstance(n_boot, (int, np.integer)) or n_boot < 2:
         raise ParameterError(f"n_boot must be an integer >= 2, got {n_boot!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -117,13 +132,14 @@ def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
     m = s.count
     roots = normal_quantile(np.arange(1, m) / m)
     a_roots = _antideriv(roots)
+    a_values = _antideriv(s.values)
     rng = np.random.default_rng(seed)
     rows = max(1, _BOOT_BLOCK // m)
     stats = np.empty(n_boot)
     for start in range(0, n_boot, rows):
         k = min(rows, n_boot - start)
-        block = np.sort(rng.choice(s.values, size=(k, m), replace=True), axis=1)
-        stats[start:start + k] = _w1_rows(block, roots, a_roots)
+        idx = np.sort(rng.integers(0, m, size=(k, m)), axis=1)
+        stats[start:start + k] = _w1_rows(s.values[idx], a_values[idx], roots, a_roots)
     return float(np.std(stats, ddof=1))
 
 

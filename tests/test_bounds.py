@@ -2,6 +2,10 @@
 dominance and improvement sweeps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,3 +329,25 @@ class TestReportPlumbing:
                 flags = (rep.requires_linear, rep.requires_l2, rep.stationary_only, rep.approx)
                 assert flags == expected[r.name]
             assert (direct.name, direct.terms, direct.inputs) == (r.name, r.terms, r.inputs)
+
+
+class TestImportCost:
+    def test_bounds_do_not_load_scipy_special(self):
+        # scipy.special costs about 0.3 s and 25 MB to import; the package
+        # and the closed-form bounds must not load it, the normal CDF must
+        code = "\n".join([
+            "import sys",
+            "import hawkesgauss as hg",
+            "from hawkesgauss.experiments import PRESETS",
+            "for p in PRESETS.values():",
+            "    hg.evaluate_all(p.params, p.u, stationary=p.stationary)",
+            "print('scipy.special' in sys.modules)",
+            "hg.normal_cdf(0.0)",
+            "print('scipy.special' in sys.modules)",
+        ])
+        src = str(Path(hg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["False", "True"]

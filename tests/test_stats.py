@@ -1,6 +1,7 @@
 """Normal special functions, empirical distances, confidence intervals."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,6 +141,36 @@ def reference_bootstrap_se(values, n_boot, seed):
     return float(np.std(stats, ddof=1))
 
 
+def frozen_block_bootstrap_se(s, n_boot, seed):
+    """The row-block bootstrap as it stood before A was gathered from the
+    sample values: ``rng.choice`` blocks of max(1, 2**12 // m) resamples,
+    sorted by value, with A evaluated on every resampled value."""
+    def antideriv(t):
+        return t * hg.normal_cdf(t) + hg.normal_pdf(t)
+
+    def w1_rows(x, roots, a_roots):
+        a_x = antideriv(x)
+        c = np.arange(1, x.shape[1]) / x.shape[1]
+        left, right, a_left, a_right = x[:, :-1], x[:, 1:], a_x[:, :-1], a_x[:, 1:]
+        below, above = roots < left, roots > right
+        rc = np.where(below, left, np.where(above, right, roots))
+        a_rc = np.where(below, a_left, np.where(above, a_right, a_roots))
+        pieces = (a_left - c * left) + (a_right - c * right) - 2.0 * (a_rc - c * rc)
+        return a_x[:, 0] + (a_x[:, -1] - x[:, -1]) + np.sum(pieces, axis=1)
+
+    m = s.count
+    roots = hg.normal_quantile(np.arange(1, m) / m)
+    a_roots = antideriv(roots)
+    rng = np.random.default_rng(seed)
+    rows = max(1, 2**12 // m)
+    stats = np.empty(n_boot)
+    for start in range(0, n_boot, rows):
+        k = min(rows, n_boot - start)
+        block = np.sort(rng.choice(s.values, size=(k, m), replace=True), axis=1)
+        stats[start:start + k] = w1_rows(block, roots, a_roots)
+    return float(np.std(stats, ddof=1))
+
+
 class TestBootstrapBlocks:
     # m = 5000 exceeds the resampling block, so each block holds one resample;
     # n_boot 3 and 200 are no multiple of the resamples per block at m = 7, 301
@@ -152,6 +183,16 @@ class TestBootstrapBlocks:
         for n_boot in (2, 3, 200):
             seed = 11 + n_boot
             assert hg.bootstrap_w1_se(s, n_boot, seed) == reference_bootstrap_se(s.values, n_boot, seed)
+
+    # m = 1 is below SampleSet's minimum and goes in as a bare (values, count)
+    # record: the gather must also hold with no roots at all
+    @pytest.mark.parametrize("m", [1, 2, 300, 5000])
+    def test_gathered_antiderivative_matches_frozen_blocks(self, m):
+        values = np.sort(np.random.default_rng(40 + m).normal(0.1, 1.2, size=m))
+        s = SimpleNamespace(values=values, count=m) if m < 2 else SampleSet(values)
+        for n_boot in (2, 3, 200):
+            seed = 5 + n_boot
+            assert hg.bootstrap_w1_se(s, n_boot, seed) == frozen_block_bootstrap_se(s, n_boot, seed)
 
     @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"seed": 1.5}, {"n_boot": 2.5}, {"n_boot": 1}])
     def test_typed_errors(self, kwargs):

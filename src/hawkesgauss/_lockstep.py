@@ -57,10 +57,11 @@ def replication_sums(
     n_reps: int,
     seed: int,
     collect_moments: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Per replication k of ``n_reps``: the event sum sum_i u(T_i) over
     (0, t_end]; the rows int u lambda, then int u^2 lambda and
-    int |u|^3 lambda when ``collect_moments`` is set; and the error estimate
+    int |u|^3 lambda when ``collect_moments`` is set, each its own array,
+    so that a caller keeping one row keeps no other; and the error estimate
     of int u lambda, which is 0 where the compensator is in closed form.
 
     Replication k thins the path of ``simulate`` for
@@ -70,23 +71,25 @@ def replication_sums(
     rows = _weight_rows(u.values, collect_moments)
     if not _has_closed_form(params.kernel, params.link):
         event_sum = np.empty(n_reps)
-        integrals = np.empty((len(rows), n_reps))
+        integrals = [np.empty(n_reps) for _ in rows]
         quad_err = np.empty(n_reps)
         for k in range(n_reps):
             stream, path = simulate(SimConfig(params, t_end, burn_in, seed, k))
             event_sum[k] = _event_sum(stream, u)
-            integrals[:, k], quad_err[k] = _weighted_integrals(path, u, rows)
+            sums, quad_err[k] = _weighted_integrals(path, u, rows)
+            for out, value in zip(integrals, sums):
+                out[k] = value
         return event_sum, integrals, quad_err
     bp = np.asarray(u.breakpoints)
     nonzero = np.asarray(u.values) != 0.0
     pieces = (bp[:-1][nonzero], bp[1:][nonzero], rows[:, nonzero])
     event_sum = np.zeros(n_reps)
-    integrals = np.zeros((len(rows), n_reps))
+    integrals = [np.zeros(n_reps) for _ in rows]
     for first in range(0, n_reps, _CHUNK):
         chunk = slice(first, min(first + _CHUNK, n_reps))
         _thin_chunk(
             params, u, pieces, t_end, burn_in, seed, first,
-            event_sum[chunk], integrals[:, chunk],
+            event_sum[chunk], [out[chunk] for out in integrals],
         )
     return event_sum, integrals, np.zeros(n_reps)
 
@@ -94,10 +97,10 @@ def replication_sums(
 def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integrals):
     """Thin replications first, first + 1, ... (one per entry of
     ``event_sum``) to t_end, adding their sums into ``event_sum`` and the
-    rows of ``integrals``; ``pieces`` holds the starts, ends and weight rows
-    of u's nonzero pieces.  The step loop only thins; every closed
-    inter-event interval goes to an ``_Intervals`` record, which integrates
-    the compensator."""
+    arrays of ``integrals``, one per weight row; ``pieces`` holds the
+    starts, ends and weight rows of u's nonzero pieces.  The step loop only
+    thins; every closed inter-event interval goes to an ``_Intervals``
+    record, which integrates the compensator."""
     kernel, link = params.kernel, params.link
     rate, jump = kernel.rate, kernel.jump
     n = event_sum.size

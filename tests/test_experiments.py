@@ -105,6 +105,19 @@ class TestReplicateInnovations:
         assert np.allclose(reps.u2_lambda, 1.0)
         assert np.allclose(reps.u3_lambda, 1.0)
 
+    @pytest.mark.parametrize("kernel", [hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(1.0, 0.5)])
+    def test_kept_field_keeps_no_other(self, kernel):
+        # the lockstep and the per-path route: a caller keeping u2_lambda
+        # alone must not keep the compensator and u3_lambda alive with it
+        params = hg.HawkesParams(kernel, hg.LinearLink(1.0))
+        u = hg.TestFunction((0.0, 5.0), (1.0,))
+        reps = replicate_innovations(params, u, 5.0, 0.0, 8, seed=1, collect_moments=True)
+        fields = (reps.delta, reps.event_sum, reps.compensator, reps.u2_lambda, reps.u3_lambda)
+        for i, a in enumerate(fields):
+            assert a.base is None
+            for b in fields[i + 1:]:
+                assert not np.shares_memory(a, b)
+
 
 def lockstep_cases():
     """(name, params, u, t_end, burn_in) of the batch path: two presets and a

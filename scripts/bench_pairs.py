@@ -8,11 +8,11 @@ benchmark's own run length, one after the other, with the base first on odd
 seeds and the head first on even ones, so that slow drifts of the machine's
 load hit both sides alike.  The file keeps every run's end-to-end metrics and
 their medians, and the number of seeds on which the head reads lower.
-``--trace 1`` runs of ``preset-saturating`` on the same seeds add per-layer
-metrics: the replication engine's time (booked as ``experiments.self_s``, since
-tracing sees only public functions), the generators' (``simulator.self_s``),
-the resolvent and distance layers.  The c09 acceptance test is timed once per
-checkout.
+``--trace 1`` runs of ``preset-saturating`` and ``analytic`` on the same
+seeds add per-layer metrics: the replication engine's time (booked as
+``experiments.self_s``, since tracing sees only public functions), the
+generators' (``simulator.self_s``), the bound, resolvent and distance layers.
+The c07, c08 and c09 acceptance tests are timed once per checkout.
 
 A fixed-work probe runs 50 jobs of each preset workload after one warm-up in
 one fresh process per checkout and preset, keeping no job's output, and
@@ -38,18 +38,21 @@ from pathlib import Path
 SEEDS = range(101, 111)
 SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("preset-linear", "preset-saturating", "analytic")
-TRACED = "preset-saturating"
+TRACED = ("preset-saturating", "analytic")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 LAYER_METRICS = (
     "experiments.self_s",
     "simulator.self_s",
     "kernels.resolvent.s_per_solve_p50",
+    "bounds.evaluate_all.us_per_call",
+    "bounds.compare_conditions.us_per_call",
     "bounds.resolvent_majorant.ms_per_call",
     "stats.bootstrap.s_per_call",
     "stats.w1.ms_per_call",
     "trace.wall_s",
 )
 PROBE_WORKLOADS = ("preset-linear", "preset-saturating")
+ACCEPTANCE = ("c07", "c08", "c09")
 PROBE_JOBS = 50
 PROBE_ROUNDS = 5
 #: one fixed-work probe: a warm-up and PROBE_JOBS jobs of one workload of the
@@ -129,14 +132,14 @@ def fixed_work(base: Path, head: Path) -> dict:
     return out
 
 
-def time_c09(checkout: Path) -> dict:
-    """Wall time and report line of the c09 acceptance test in ``checkout``."""
+def time_acceptance(checkout: Path, criterion: str) -> dict:
+    """Wall time and report line of one acceptance test in ``checkout``."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
-           "tests/test_acceptance.py", "-k", "c09"]
+           "tests/test_acceptance.py", "-k", criterion]
     t0 = time.perf_counter()
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    lines = [ln for ln in done.stdout.splitlines() if "bound respect" in ln]
+    lines = [ln for ln in done.stdout.splitlines() if "[criterion" in ln]
     return {"pytest_wall_s": round(wall, 2), "passed": done.returncode == 0,
             "report": lines[-1].strip() if lines else None}
 
@@ -184,9 +187,10 @@ def main(argv=None) -> int:
         "base": git_version(base),
         "head": git_version(head),
         "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},
-        "per_layer": {TRACED: paired(base, head, TRACED, 1, LAYER_METRICS)},
+        "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in TRACED},
         "fixed_work": fixed_work(base, head),
-        "c09": {"base": time_c09(base), "head": time_c09(head)},
+        "acceptance": {c: {"base": time_acceptance(base, c), "head": time_acceptance(head, c)}
+                       for c in ACCEPTANCE},
     }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0

@@ -6,8 +6,9 @@ linear-case bound, and its spectral (L2-kernel) form, each with a
 constant-rate variant.  They share three of their four terms, so they are
 data: ``FAMILIES`` holds one row per bound (term labels, applicability flags,
 constant-rate marker) and ``_terms`` evaluates every row from one record of
-test-function norms.  A further, semi-analytic bound combines Monte Carlo
-moment estimates with deterministic resolvent majorants.
+test-function norms, ``TestFunction.norms``, which each function computes
+once.  A further, semi-analytic bound combines Monte Carlo moment estimates
+with deterministic resolvent majorants.
 """
 
 from __future__ import annotations
@@ -69,16 +70,6 @@ class BoundReport:
         raise KeyError(label)
 
 
-def _u_norms(u: TestFunction) -> dict:
-    """The norms of u the bounds read, each computed as ``TestFunction.lp_norm``
-    does, without building |u| or u^2 as new test functions."""
-    a = np.abs(np.asarray(u.values))
-    w = u.widths
-    sq = a * a
-    norms = (("u_l1", a, 1), ("u_l2", a, 2), ("u_l3", a, 3), ("u_sq_l2", sq, 2), ("u_sq_l1", sq, 1))
-    return {key: float(np.sum(v**p * w) ** (1.0 / p)) for key, v, p in norms}
-
-
 def intensity_bracket(p: HawkesParams) -> tuple:
     """Deterministic bracket [phi(0), phi(0)/(1 - alpha*mu)] containing the
     mean intensity."""
@@ -138,7 +129,7 @@ FAMILIES = {
 }
 
 
-def _terms(base: str, rate0: float, am: float, n: dict, h2: float | None) -> dict:
+def _terms(base: str, rate0: float, am: float, n, h2: float | None) -> dict:
     """Every term of one base formula by label, from ``rate0`` = phi(0) or nu,
     ``am`` = alpha*mu or mu, the norms ``n`` of u and the kernel's L2 norm
     ``h2`` (spectral only).  The bases differ in their first term, in whether
@@ -171,8 +162,11 @@ def _terms(base: str, rate0: float, am: float, n: dict, h2: float | None) -> dic
     }
 
 
-def _report(family: Family, rate0: float, am: float, n: dict, h2=None) -> BoundReport:
-    terms = _terms(family.base, rate0, am, n, h2)
+def _report(family: Family, rate0: float, am: float, n, h2=None, terms=None) -> BoundReport:
+    """``family``'s report; ``terms`` is ``_terms`` of its base when the
+    caller has it already."""
+    if terms is None:
+        terms = _terms(family.base, rate0, am, n, h2)
     keys = ("nu", "mu") if family.requires_linear else ("phi0", "alpha_mu")
     inputs = dict(zip(keys, (rate0, am)))
     if family.requires_l2:
@@ -191,7 +185,7 @@ def _nonlinear_report(name: str, p: HawkesParams, u: TestFunction) -> BoundRepor
     am = p.alpha_mu
     if am >= 1:
         raise StabilityError(f"alpha*mu must be < 1, got {am}")
-    return _report(FAMILIES[name], p.phi0, am, _u_norms(u))
+    return _report(FAMILIES[name], p.phi0, am, u.norms)
 
 
 def _check_linear(nu: float, mu: float) -> None:
@@ -210,7 +204,7 @@ def _linear_report(name: str, nu: float, k: Kernel, u: TestFunction) -> BoundRep
         h2 = l2_norm(k)
         if not math.isfinite(h2):
             raise ParameterError("spectral bound needs a square-integrable kernel")
-    return _report(family, nu, mu, _u_norms(u), h2)
+    return _report(family, nu, mu, u.norms, h2)
 
 
 def bound_nonlinear(p: HawkesParams, u: TestFunction) -> BoundReport:
@@ -253,7 +247,7 @@ def compare_conditions(nu: float, k: Kernel, u: TestFunction) -> dict:
     mu = l1_norm(k)
     _check_linear(nu, mu)
     h2 = l2_norm(k)
-    n = _u_norms(u)
+    n = u.norms
     r_u = n["u_sq_l2"] ** 2 / n["u_l2"] ** 4
     r_h = (h2 / mu) ** 2 if mu > 0 else math.inf
     r_u1 = n["u_l2"] ** 2 / n["u_l1"] ** 2
@@ -297,7 +291,6 @@ def bound_general_resolvent(
     t3 = 2.0 * SQRT_2_OVER_PI * lam_high * cross_energy(ua, ua, psi)
     t4 = lam_high * cross_energy(ua, u.squared(), psi)
 
-    n = _u_norms(u)
     return BoundReport(
         name="resolvent_majorant",
         terms=(
@@ -306,7 +299,7 @@ def bound_general_resolvent(
             ("gradient_first", t3),
             ("gradient_second", t4),
         ),
-        inputs={"phi0": p.phi0, "alpha_mu": am, "lambda_high": lam_high, **n},
+        inputs={"phi0": p.phi0, "alpha_mu": am, "lambda_high": lam_high, **u.norms},
         mc_terms=(("variance_mismatch_mc", se1), ("third_moment_mc", se2)),
     )
 
@@ -317,12 +310,16 @@ def evaluate_all(
     stationary: bool,
 ) -> list[BoundReport]:
     """Every closed-form bound applicable to (params, u) in the given mode,
-    in ``FAMILIES`` order; see ``Family.skip_reason`` for the rule."""
-    n = _u_norms(u)
+    in ``FAMILIES`` order; see ``Family.skip_reason`` for the rule.  Each
+    base formula is evaluated once and shared by the families built on it."""
+    n = u.norms
     rate0, am = params.phi0, params.alpha_mu
+    bases = {}
     reports = []
     for family in FAMILIES.values():
         if family.skip_reason(params, stationary) is None:
             h2 = l2_norm(params.kernel) if family.requires_l2 else None
-            reports.append(_report(family, rate0, am, n, h2))
+            if family.base not in bases:
+                bases[family.base] = _terms(family.base, rate0, am, n, h2)
+            reports.append(_report(family, rate0, am, n, h2, bases[family.base]))
     return reports

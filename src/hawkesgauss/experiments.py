@@ -331,12 +331,13 @@ def run_rate_sweep(
         if any(not math.isfinite(v) for v in bound_totals.values()):
             raise NumericError(f"non-finite bound at eps={eps}: {bound_totals}")
 
+        n = u.norms
         limits = {
             "alpha_mu": am,
-            "phi0_u_l2_sq": nu * u.lp_norm(2) ** 2,
-            "phi0_u_l3_cubed": nu * u.lp_norm(3) ** 3,
-            "sqrt_phi0_alpha_mu_u_sq_l2": math.sqrt(nu) * am * u.squared().lp_norm(2),
-            "phi0_alpha_mu_u_l1": nu * am * u.lp_norm(1),
+            "phi0_u_l2_sq": nu * n["u_l2"] ** 2,
+            "phi0_u_l3_cubed": nu * n["u_l3"] ** 3,
+            "sqrt_phi0_alpha_mu_u_sq_l2": math.sqrt(nu) * am * n["u_sq_l2"],
+            "phi0_alpha_mu_u_l1": nu * am * n["u_l1"],
         }
 
         conditions = None

@@ -1,6 +1,12 @@
 """Kernel numerics: L1/L2 norms, the resolvent of the renewal equation
 psi = alpha*h + alpha*h*psi (* = convolution), and double integrals of step
 functions against the resolvent.
+
+The trapezoid rule turns the renewal equation into one lower-triangular
+Toeplitz system.  Its inverse is again lower-triangular Toeplitz, with the
+power-series inverse of the system's first column as its first column, so
+the resolvent is one series inverse by Newton doubling (Brent & Kung 1978,
+J. ACM 25) and one convolution, both by FFT.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from .errors import HorizonError, NumericError, ParameterError, StabilityError
 from .model import BoxKernel, ExponentialKernel, Kernel, TestFunction
 
 RESOLVENT_TOL = 1e-9
-_BLOCK = 1024  # grid steps per block of the resolvent's forward solve
 
 
 def l1_norm(kernel: Kernel) -> float:
@@ -126,14 +131,17 @@ def _conv_trapezoid(f: np.ndarray, g: np.ndarray, step: float) -> np.ndarray:
     return step * full
 
 
-def _toeplitz_inverse(ah: np.ndarray, step: float, denom: float) -> np.ndarray:
-    """First column of the inverse of the lower-triangular Toeplitz matrix
-    with first column (denom, -step*ah_1, -step*ah_2, ...), by forward
-    substitution on the unit vector."""
-    inv = np.empty(len(ah))
-    inv[0] = 1.0 / denom
-    for k in range(1, len(ah)):
-        inv[k] = step * float(np.dot(ah[1 : k + 1], inv[k - 1 :: -1])) / denom
+def _series_inverse(col: np.ndarray, size: int) -> np.ndarray:
+    """First ``size`` coefficients of 1/c(z), c(z) = sum_k col[k] z^k, which
+    are the first column of the inverse of the lower-triangular Toeplitz
+    matrix with first column ``col``.  Newton doubling: if g = 1/c mod z^h,
+    then c*g = 1 + O(z^h) and g - g*(c*g - 1) = 1/c mod z^2h."""
+    inv = np.array([1.0 / col[0]])
+    while len(inv) < size:
+        h = len(inv)
+        k = min(2 * h, size)
+        high = _fft_convolve(col[:k], inv, k)[h:]
+        inv = np.concatenate((inv, -_fft_convolve(inv, high, k - h)))
     return inv
 
 
@@ -146,11 +154,12 @@ def resolvent(
 ) -> ResolventTable:
     """Solve the discretized renewal equation psi = alpha*h + alpha*h*psi.
 
-    The lower-triangular system produced by the trapezoid rule is solved
-    forward in blocks, which lands on the fixed point of the discretized
-    Picard map directly; the residual of the fixed-point equation is checked
-    against ``tol`` afterwards.  Every long sum goes through an FFT rather
-    than BLAS, so the cost does not depend on the BLAS thread pool.
+    The lower-triangular Toeplitz system produced by the trapezoid rule is
+    solved by one series inverse of its first column and one convolution,
+    which lands on the fixed point of the discretized Picard map directly;
+    the residual of the fixed-point equation is checked against ``tol``
+    afterwards.  Every long sum goes through an FFT rather than BLAS, so the
+    cost does not depend on the BLAS thread pool.
     """
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
@@ -178,20 +187,12 @@ def resolvent(
         )
     # for k >= 1 the trapezoid rule gives the lower-triangular Toeplitz system
     #   denom*psi_k - step*sum_{j=1..k-1} ah_{k-j} psi_j = ah_k*(1 + step*psi_0/2),
-    # solved forward in blocks of _BLOCK steps.  The history of a block
-    # (j before it) is one FFT convolution; the block's own system matrix is
-    # the same every time, and its inverse is again lower-triangular Toeplitz,
-    # so it is applied as a convolution with the inverse's first column.
-    rhs = ah * (1.0 + 0.5 * step * psi[0])
-    inv = _toeplitz_inverse(ah[:_BLOCK], step, denom)
-    for start in range(1, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = rhs[start:stop]
-        if start > 1:
-            # history sum_{j=1..start-1} ah_{k-j} psi_j for k = start..stop-1
-            history = _fft_convolve(psi[1:start], ah[1:stop], stop - 2)[start - 2 :]
-            block = block + step * history
-        psi[start:stop] = _fft_convolve(inv, block, stop - start)
+    # whose matrix has first column (denom, -step*ah_1, ..., -step*ah_{n-2})
+    if n > 1:
+        col = -step * ah[: n - 1]
+        col[0] = denom
+        rhs = ah[1:] * (1.0 + 0.5 * step * psi[0])
+        psi[1:] = _fft_convolve(_series_inverse(col, n - 1), rhs, n - 1)
 
     residual = psi - (ah + _conv_trapezoid(ah, psi, step))
     residual_sup = float(np.max(np.abs(residual)))

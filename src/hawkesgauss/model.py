@@ -10,6 +10,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Union
 
 import numpy as np
@@ -322,6 +323,18 @@ class TestFunction:
     @property
     def support(self) -> tuple:
         return (self.breakpoints[0], self.breakpoints[-1])
+
+    @cached_property
+    def norms(self) -> MappingProxyType:
+        """Read-only record of the norms the bounds read, computed once:
+        ``u_l1``, ``u_l2``, ``u_l3`` = ||u||_p and ``u_sq_l2``, ``u_sq_l1`` =
+        ||u^2||_p, each bit for bit what ``lp_norm`` returns."""
+        a = np.abs(np.asarray(self.values))
+        sq = a * a
+        sums = np.sum(np.stack((a, sq, a**3, sq**2, sq)) * self.widths, axis=1)
+        roots = (1.0, 0.5, 1.0 / 3.0, 0.5, 1.0)
+        keys = ("u_l1", "u_l2", "u_l3", "u_sq_l2", "u_sq_l1")
+        return MappingProxyType({k: float(s**r) for k, s, r in zip(keys, sums, roots)})
 
     def lp_norm(self, p: float) -> float:
         if p < 1:

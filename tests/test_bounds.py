@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import hawkesgauss as hg
+from hawkesgauss.bounds import FAMILIES, _report
 from hawkesgauss.errors import ParameterError, StabilityError, StatisticalError
 from sweep_utils import random_linear_case
 
@@ -329,6 +332,93 @@ class TestReportPlumbing:
                 flags = (rep.requires_linear, rep.requires_l2, rep.stationary_only, rep.approx)
                 assert flags == expected[r.name]
             assert (direct.name, direct.terms, direct.inputs) == (r.name, r.terms, r.inputs)
+
+
+def frozen_u_norms(u):
+    """Copy of the earlier norm code: one reduction per norm."""
+    a = np.abs(np.asarray(u.values))
+    w = u.widths
+    sq = a * a
+    norms = (("u_l1", a, 1), ("u_l2", a, 2), ("u_l3", a, 3), ("u_sq_l2", sq, 2), ("u_sq_l1", sq, 1))
+    return {key: float(np.sum(v**p * w) ** (1.0 / p)) for key, v, p in norms}
+
+
+def frozen_conditions(nu, k, n):
+    """``compare_conditions`` on the norms ``n``, as the earlier code read them."""
+    mu, h2 = hg.l1_norm(k), hg.l2_norm(k)
+    r_u = n["u_sq_l2"] ** 2 / n["u_l2"] ** 4
+    r_h = (h2 / mu) ** 2 if mu > 0 else math.inf
+    r_u1 = n["u_l2"] ** 2 / n["u_l1"] ** 2
+    scale = 1.0 / (4.0 * (1.0 - mu))
+    return {
+        "cond_i": bool(nu >= scale * min(r_u, r_h)),
+        "cond_ii": bool(nu >= scale * max(min(r_u, r_h), min(r_u1, r_h))),
+    }
+
+
+@st.composite
+def signed_steps(draw, max_pieces=200):
+    n = draw(st.integers(1, max_pieces))
+    widths = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+    values = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+    assume(any(v != 0.0 for v in values))
+    start = draw(st.floats(-3.0, 3.0))
+    bp = start + np.concatenate(([0.0], np.cumsum(widths)))
+    return hg.TestFunction(tuple(bp), tuple(values))
+
+
+class TestNormRecord:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        u=signed_steps(),
+        nu=st.floats(0.1, 10.0),
+        mu=st.floats(0.02, 0.95),
+        rate=st.floats(0.2, 5.0),
+        box=st.booleans(),
+    )
+    def test_bit_identical_to_per_norm_reductions(self, u, nu, mu, rate, box):
+        kernel = hg.BoxKernel(1.0 / rate, mu) if box else hg.ExponentialKernel(rate, mu)
+        params = hg.HawkesParams(kernel, hg.LinearLink(nu))
+        n = frozen_u_norms(u)
+        assert dict(u.norms) == n
+        for stationary in (True, False):
+            # the earlier path: every family's report on its own
+            expected = [
+                _report(f, nu, mu, n, hg.l2_norm(kernel) if f.requires_l2 else None)
+                for f in FAMILIES.values()
+                if f.skip_reason(params, stationary) is None
+            ]
+            got = hg.evaluate_all(params, u, stationary)
+            assert [(r.name, r.terms, r.total, r.inputs) for r in got] == [
+                (r.name, r.terms, r.total, r.inputs) for r in expected
+            ]
+        for r in expected:
+            entry = getattr(hg, f"bound_{r.name}")
+            direct = entry(params, u) if r.name.startswith("nonlinear") else entry(nu, kernel, u)
+            assert (direct.terms, direct.total, direct.inputs) == (r.terms, r.total, r.inputs)
+        assert hg.compare_conditions(nu, kernel, u) == frozen_conditions(nu, kernel, n)
+
+    def test_cache_leaves_identity_and_is_read_only(self):
+        u = hg.TestFunction((0.0, 1.0, 2.5), (0.7, -0.3))
+        twin = hg.TestFunction((0.0, 1.0, 2.5), (0.7, -0.3))
+        before = (repr(u), hash(u))
+        assert u.norms["u_l1"] > 0
+        assert (repr(u), hash(u)) == before
+        assert u == twin and hash(u) == hash(twin) and repr(u) == repr(twin)
+        assert "norms" not in repr(u)
+        with pytest.raises(TypeError):
+            u.norms["u_l1"] = 0.0
+
+    def test_report_inputs_are_not_shared(self):
+        u = hg.TestFunction((0.0, 1.0, 2.5), (0.7, -0.3))
+        p = params_for(1.0, 0.4)
+        first = hg.bound_nonlinear(p, u)
+        first.inputs["u_l2"] = -1.0
+        assert hg.bound_nonlinear(p, u).inputs["u_l2"] == u.norms["u_l2"] > 0
+        reports = hg.evaluate_all(p, u, stationary=True)
+        reports[0].inputs["u_l1"] = -1.0
+        assert all(r.inputs["u_l1"] == u.norms["u_l1"] for r in reports[1:])
+        assert hg.evaluate_all(p, u, stationary=True)[0].inputs["u_l1"] == u.norms["u_l1"]
 
 
 class TestImportCost:

@@ -8,7 +8,13 @@ import pytest
 
 import hawkesgauss as hg
 from hawkesgauss.errors import HorizonError, NumericError, StabilityError
-from hawkesgauss.kernels import default_horizon, picard_resolvent
+from hawkesgauss.kernels import (
+    _fft_convolve,
+    _grid_samples,
+    _series_inverse,
+    default_horizon,
+    picard_resolvent,
+)
 
 
 def exp_resolvent_exact(rate, mass, alpha, t):
@@ -52,7 +58,7 @@ class TestResolvent:
         assert np.all(lo.values <= hi.values + 1e-12)
 
     def test_picard_oracle_agrees(self):
-        # 801 and 2668 nodes: one and three blocks of the forward solve
+        # 801 and 2668 nodes: the series inverse ends between doubling edges
         for step in (0.01, 0.003):
             for kernel in (hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(1.0, 0.4)):
                 direct = hg.resolvent(kernel, alpha=1.0, step=step, horizon=8.0)
@@ -75,6 +81,64 @@ class TestResolvent:
         T = default_horizon(k, 1.0)
         tab = hg.resolvent(k, 1.0, step=5e-3, horizon=T)
         assert tab.tail_bound <= 1e-6 * tab.total_mass * 1.01
+
+
+def blocked_resolvent_values(kernel, alpha, step, horizon, block=1024):
+    """Frozen copy of the earlier forward solve: blocks of ``block`` steps,
+    each block's history one FFT convolution, and the block's own Toeplitz
+    inverse by forward substitution."""
+    n = int(round(horizon / step)) + 1
+    ah = alpha * _grid_samples(kernel, np.arange(n) * step, step)
+    psi = np.empty(n)
+    psi[0] = ah[0]
+    denom = 1.0 - 0.5 * step * ah[0]
+    m = min(block, n)
+    inv = np.empty(m)
+    inv[0] = 1.0 / denom
+    for k in range(1, m):
+        inv[k] = step * float(np.dot(ah[1 : k + 1], inv[k - 1 :: -1])) / denom
+    rhs = ah * (1.0 + 0.5 * step * psi[0])
+    for start in range(1, n, block):
+        stop = min(start + block, n)
+        part = rhs[start:stop]
+        if start > 1:
+            history = _fft_convolve(psi[1:start], ah[1:stop], stop - 2)[start - 2 :]
+            part = part + step * history
+        psi[start:stop] = _fft_convolve(inv, part, stop - start)
+    return psi
+
+
+ORACLE_KERNELS = (
+    hg.ExponentialKernel(1.0, 0.5),
+    hg.BoxKernel(1.5, 0.5),
+    hg.TabulatedKernel(0.5, (0.0, 0.4, 0.6, 0.3, 0.1, 0.0)),
+)
+
+
+class TestSeriesSolve:
+    # node counts 1, 2 and 3 are the smallest systems; 1024, 1025 and 2049
+    # cross the earlier solve's block edges and the doubling edges 2^k + 1
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 1024, 1025, 2049, 15001])
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["exponential", "box", "tabulated"])
+    def test_matches_blocked_solve(self, kernel, nodes):
+        step = 1e-3
+        horizon = (nodes - 1) * step if nodes > 1 else 0.4 * step
+        tab = hg.resolvent(kernel, alpha=1.0, step=step, horizon=horizon)
+        frozen = blocked_resolvent_values(kernel, 1.0, step, horizon)
+        assert len(tab.values) == nodes
+        assert float(np.max(np.abs(tab.values - frozen))) <= 1e-13
+        assert tab.residual_sup <= 1e-9
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 1024, 1025])
+    def test_series_inverse_is_inverse(self, size):
+        rng = np.random.default_rng(size)
+        col = np.concatenate(([1.0 - rng.uniform(0.0, 0.5)], -1e-3 * rng.uniform(0.0, 2.0, size - 1)))
+        inv = _series_inverse(col, size)
+        assert len(inv) == size
+        unit = np.zeros(size)
+        unit[0] = 1.0
+        product = np.convolve(col, inv)[:size]
+        assert float(np.max(np.abs(product - unit))) <= 1e-14
 
 
 class TestCrossEnergy:

@@ -14,6 +14,7 @@ with deterministic resolvent majorants.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,7 +130,7 @@ FAMILIES = {
 }
 
 
-def _terms(base: str, rate0: float, am: float, n, h2: float | None) -> dict:
+def _terms(base: str, rate0: float, am: float, n: Mapping, h2: float | None) -> dict:
     """Every term of one base formula by label, from ``rate0`` = phi(0) or nu,
     ``am`` = alpha*mu or mu, the norms ``n`` of u and the kernel's L2 norm
     ``h2`` (spectral only).  The bases differ in their first term, in whether
@@ -162,7 +163,9 @@ def _terms(base: str, rate0: float, am: float, n, h2: float | None) -> dict:
     }
 
 
-def _report(family: Family, rate0: float, am: float, n, h2=None, terms=None) -> BoundReport:
+def _report(
+    family: Family, rate0: float, am: float, n: Mapping, h2=None, terms=None
+) -> BoundReport:
     """``family``'s report; ``terms`` is ``_terms`` of its base when the
     caller has it already."""
     if terms is None:

@@ -21,6 +21,12 @@ alternating order, ``PROBE_ROUNDS`` times.  Unlike ``peak_rss_mb`` of a timed
 run, which grows with the number of jobs whose summaries the run keeps, it
 measures the library's own memory.  Each checkout runs its own
 ``benchmarks/`` on its own ``src/``.
+
+A second fixed-work probe times ``TANH_REPS`` replications of an
+exponential kernel with the tanh link (t_end 50, with moments), which no
+benchmark workload runs, once per fresh process after a warm-up, in
+``TANH_ROUNDS`` alternating rounds, and reports each checkout's best and
+median seconds and the process's peak RSS.
 """
 
 from __future__ import annotations
@@ -71,6 +77,24 @@ for job in range(1, jobs + 1):
     w.run(inputs)
     walls.append(time.perf_counter() - t0)
 print(1e3 * statistics.median(walls), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+TANH_REPS = 1000
+TANH_ROUNDS = 3
+#: the exponential-kernel tanh-link probe: a warm-up and one timed call of
+#: replicate_innovations on the checkout's src/; prints (seconds, peak MB)
+TANH_PROBE = """
+import resource, sys, time
+sys.path.insert(0, "src")
+import hawkesgauss as hg
+from hawkesgauss.experiments import replicate_innovations
+p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+u = hg.TestFunction((0.0, 50.0), (0.1,))
+replicate_innovations(p, u, 50.0, 0.0, 10, seed=1, collect_moments=True)
+t0 = time.perf_counter()
+replicate_innovations(p, u, 50.0, 0.0, int(sys.argv[1]), seed=2, collect_moments=True)
+print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
@@ -132,6 +156,27 @@ def fixed_work(base: Path, head: Path) -> dict:
     return out
 
 
+def tanh_probe(base: Path, head: Path) -> dict:
+    """TANH_ROUNDS runs of TANH_PROBE per checkout, alternating which runs
+    first, with each side's best and median seconds."""
+    runs = {"base": [], "head": []}
+    for i in range(TANH_ROUNDS):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            done = subprocess.run(
+                [sys.executable, "-c", TANH_PROBE, str(TANH_REPS)],
+                cwd=base if side == "base" else head, capture_output=True, text=True, check=True,
+            )
+            sec, mb = (float(x) for x in done.stdout.split())
+            runs[side].append({"seconds": sec, "peak_rss_mb": mb})
+            print(f"tanh probe {side}: {sec:.3f} s, {mb:.2f} MB", file=sys.stderr)
+    return {
+        "reps": TANH_REPS,
+        "best_s": {side: min(r["seconds"] for r in rs) for side, rs in runs.items()},
+        "median_s": {side: statistics.median(r["seconds"] for r in rs) for side, rs in runs.items()},
+        "runs": runs,
+    }
+
+
 def time_acceptance(checkout: Path, criterion: str) -> dict:
     """Wall time and report line of one acceptance test in ``checkout``."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
@@ -183,12 +228,16 @@ def main(argv=None) -> int:
                      "seeds": list(SEEDS),
                      "order": "alternating: base first on odd seeds, head first on even",
                      "fixed_work": f"{PROBE_JOBS} jobs per preset workload after one warm-up, "
-                                   f"one fresh process each, {PROBE_ROUNDS} alternating rounds"},
+                                   f"one fresh process each, {PROBE_ROUNDS} alternating rounds",
+                     "tanh_probe": f"{TANH_REPS} exponential x tanh replications, t_end 50, "
+                                   f"with moments, after a warm-up, one fresh process each, "
+                                   f"{TANH_ROUNDS} alternating rounds"},
         "base": git_version(base),
         "head": git_version(head),
         "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},
         "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in TRACED},
         "fixed_work": fixed_work(base, head),
+        "tanh_probe": tanh_probe(base, head),
         "acceptance": {c: {"base": time_acceptance(base, c), "head": time_acceptance(head, c)}
                        for c in ACCEPTANCE},
     }

@@ -1,8 +1,8 @@
 """Replication engine: per replication, the event sum, the integrals of u,
 u^2 and |u|^3 against lambda, and the quadrature error (``replication_sums``).
 
-Exponential kernels with a closed-form compensator (``_has_closed_form``)
-thin all paths in lockstep as numpy vectors.  Each running path keeps its
+Exponential kernels, with any link, thin all paths in lockstep as numpy
+vectors.  Each running path keeps its
 Markov state: the time t of its last candidate, its last event t_last and
 S(t_last+).  Step j draws candidate j of every path from the stream layout
 of ``simulate`` (uniforms 2j and 2j + 1 of ``rng_for(seed, k).random()``)
@@ -15,7 +15,7 @@ intervals are met with u's nonzero pieces and each weight row times lambda
 is integrated in the closed forms of ``chaos``, on the pieces cut at events
 as in ``chaos.first_chaos``.  Only running sums are kept, and memory grows
 with the number of paths thinned together, at most ``_CHUNK``, plus the
-fixed record.  Other kernels and links run ``simulate`` path by path.
+fixed record.  Box and tabulated kernels run ``simulate`` path by path.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chaos import (
-    _CLOSED_FORM_LINKS, _check_support, _closed_form_integrals, _event_sum, _weight_rows,
-    _weighted_integrals,
+    _check_support, _closed_form_integrals, _event_sum, _weight_rows, _weighted_integrals,
 )
 from .model import ExponentialKernel, HawkesParams, TestFunction
 from .simulator import (
@@ -41,12 +40,6 @@ _CHUNK = 8192
 #: of ``_Intervals``); a fixed cap keeps the record small however many paths
 #: run, and leaves every replication's numbers unchanged
 _RECORD = 2**12
-
-
-def _has_closed_form(kernel, link) -> bool:
-    """Whether the replications thin in lockstep: an exponential kernel with
-    a link whose compensator ``chaos._closed_form_integrals`` gives."""
-    return isinstance(kernel, ExponentialKernel) and isinstance(link, _CLOSED_FORM_LINKS)
 
 
 def replication_sums(
@@ -69,7 +62,7 @@ def replication_sums(
     """
     _check_support(u, (0.0, t_end))
     rows = _weight_rows(u.values, collect_moments)
-    if not _has_closed_form(params.kernel, params.link):
+    if not isinstance(params.kernel, ExponentialKernel):
         event_sum = np.empty(n_reps)
         integrals = [np.empty(n_reps) for _ in rows]
         quad_err = np.empty(n_reps)

@@ -5,17 +5,17 @@ constant rate estimate in place of lambda(t).
 The compensator integral is cut into pieces at w's breakpoints, at events
 and at every later age where an event's kernel term jumps or kinks (kernel
 expiries, and the grid nodes of tabulated kernels), and every piece of a path
-is integrated in one numpy pass: in closed form for the linear and the
-saturating-exp link on an exponential kernel (the latter through the
-exponential integral E1), and piecewise constant for box and zero kernels.
-The tanh link and tabulated kernels, which have no closed form, take the
-4-node Gauss-Legendre rule on every piece at once, with the difference from
-the 3-node rule as error estimate; on a tabulated piece the excitation is
-affine, so the linear link is exact there.  One pass integrates the pieces
-once for the rows u, u^2 and |u|^3 of ``_weight_rows``.  The closed forms take
-each piece's start excitation and length (``_closed_form_integrals``), so the
-lockstep engine in ``_lockstep`` integrates its record of inter-event
-intervals with the same code and rows, on pieces cut at events as here.
+is integrated in one numpy pass.  On an exponential kernel S = s e^{-rate x}
+on a piece, so every link integrates in closed form in S: the linear link
+directly, the saturating-exp link through the exponential integral E1 and
+the tanh link through T(z) = int_0^z tanh(t)/t dt.  Box and zero kernels are
+piecewise constant.  Tabulated kernels take the 4-node Gauss-Legendre rule
+on every piece at once, with the difference from the 3-node rule as error
+estimate; their excitation is affine on a piece, so the linear link is exact
+there.  One pass integrates the pieces once for the rows u, u^2 and |u|^3 of
+``_weight_rows``.  The closed forms take each piece's start excitation and
+length (``_closed_form_integrals``), so the lockstep engine in ``_lockstep``
+integrates its record of inter-event intervals with the same code and rows.
 ``scipy.special`` (about 0.3 s and 25 MB to import on a 2-vCPU x86 machine)
 is imported where E1 is evaluated, not with the module.
 """
@@ -85,17 +85,46 @@ _EIN_SWITCH = 3.0
 _EIN_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(28, 0, -1)]
 # pieces with rate * length below _SHORT take the 4-node Gauss-Legendre rule
 # on [-1, 1], whose truncation error there stays below 2e-15 relative; above
-# it the Ein and E1 differences cancel by at most a factor of about 10.  Nodes
+# it the Ein, E1 and T differences cancel by at most a factor of about 10.  Nodes
 # and weights in closed form (numpy's leggauss would start LAPACK at import)
 _SHORT = 0.1
 _GL_INNER, _GL_OUTER = (math.sqrt(3 / 7 + q * 2 / 7 * math.sqrt(6 / 5)) for q in (-1, 1))
 _GL_NODES = np.array([-_GL_OUTER, -_GL_INNER, _GL_INNER, _GL_OUTER])
 _GL_WEIGHTS = (18 + math.sqrt(30) * np.array([-1, 1, 1, -1])) / 36
-# the 3-node rule, whose difference from the 4-node one is the error estimate
-# where no closed form exists
+# the 3-node rule: its difference from the 4-node one is the error estimate
 _GL3_NODES = math.sqrt(3 / 5) * np.array([-1.0, 0.0, 1.0])
 _GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9
 _QUAD_NODES = np.concatenate([_GL_NODES, _GL3_NODES])
+# T(z) = int_0^z tanh(t)/t dt is tabulated at multiples of _T_STEP below
+# _T_FAR, one 4-node panel each (tanh's poles lie pi/2 off the axis, so a
+# panel's error is below 1e-16); beyond, T(z) = ln z + ln(4/pi) + gamma up to
+# less than e^{-2z}/z
+_T_STEP, _T_FAR = 1 / 16, 18.5
+
+
+def _gauss4(f, a, b) -> np.ndarray:
+    """int_a^b f(t) dt by the 4-node rule, one panel per entry of b."""
+    half = 0.5 * (b - a)
+    t = np.reshape(a, (-1, 1)) + half[:, None] * (1.0 + _GL_NODES)
+    return (f(t) * _GL_WEIGHTS).sum(axis=1) * half
+
+
+def _tanh_ratio(t: np.ndarray) -> np.ndarray:
+    """tanh(t)/t, continued by 1 at t = 0."""
+    return np.divide(np.tanh(t), t, out=np.ones_like(t), where=t != 0.0)
+
+
+_T_EDGES = np.arange(_T_FAR / _T_STEP + 1) * _T_STEP
+_T_TABLE = np.concatenate([[0.0], np.cumsum(_gauss4(_tanh_ratio, _T_EDGES[:-1], _T_EDGES[1:]))])
+
+
+def _tanh_integral(z: np.ndarray) -> np.ndarray:
+    """T(z) for z >= 0: the nearest table entry plus one panel to z."""
+    out = np.log(np.maximum(z, _T_FAR)) + (math.log(4 / math.pi) + np.euler_gamma)
+    near = z < _T_FAR
+    k = np.rint(z[near] / _T_STEP).astype(np.intp)
+    out[near] = _T_TABLE[k] + _gauss4(_tanh_ratio, k * _T_STEP, z[near])
+    return out
 
 
 def _ein(z: np.ndarray) -> np.ndarray:
@@ -116,33 +145,17 @@ def _ein(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _saturating_excess(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """int_0^d (1 - exp(-c e^{-t})) dt for c, d >= 0, to rounding.
-
-    With y0 = c e^{-d} this is Ein(c) - Ein(y0) = d - (E1(y0) - E1(c)).  The
-    E1 form serves y0 >= _EIN_SWITCH, where both E1 values are small; Ein
-    serves smaller y0, so c = 0 and an underflowing y0 need no E1 call.
-    Short pieces, where either difference would cancel, take Gauss-Legendre
-    nodes.
-    """
+def _saturating_primitive(c: np.ndarray, y0: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Ein(c) - Ein(y0) = d - (E1(y0) - E1(c)) for y0 = c e^{-d}.  The E1
+    form serves y0 >= _EIN_SWITCH, where both E1 values are small; Ein serves
+    smaller y0, so c = 0 and an underflowing y0 need no E1 call."""
     from scipy.special import exp1
 
     out = np.empty_like(c)
-    short = d < _SHORT
-    half = 0.5 * d[short]
-    t = half[:, None] * (1.0 + _GL_NODES)
-    f = -np.expm1(-c[short, None] * np.exp(-t))
-    out[short] = (f * _GL_WEIGHTS).sum(axis=1) * half
-    y0 = c * np.exp(-d)
-    far = ~short & (y0 >= _EIN_SWITCH)
+    far = y0 >= _EIN_SWITCH
     out[far] = d[far] - (exp1(y0[far]) - exp1(c[far]))
-    near = ~short & (y0 < _EIN_SWITCH)
-    out[near] = _ein(c[near]) - _ein(y0[near])
+    out[~far] = _ein(c[~far]) - _ein(y0[~far])
     return out
-
-
-#: the links that ``_closed_form_integrals`` serves on an exponential kernel
-_CLOSED_FORM_LINKS = (LinearLink, SaturatingExpLink)
 
 
 def _closed_form_integrals(
@@ -150,14 +163,26 @@ def _closed_form_integrals(
 ) -> np.ndarray:
     """Integrals of lambda over pieces of the given lengths that hold no
     event, from the excitation s_a = S(a+) at each piece's start a, for an
-    exponential kernel with the linear or the saturating-exp link."""
+    exponential kernel: S = s_a e^{-rate u} on the piece."""
     rate = kernel.rate
     if isinstance(link, LinearLink):
         # int (nu + s_a e^{-rate u}) du
         return link.nu * length - s_a * np.expm1(-rate * length) / rate
-    # int (cap - s exp(-(s_a/s) e^{-rate u})) du with s = cap - nu
-    s = link.cap - link.nu
-    return link.nu * length + s * _saturating_excess(s_a / s, rate * length) / rate
+    # int (nu + s g(S/s)) du = nu L + (s/rate) int_0^d g(c e^{-t}) dt with
+    # c = s_a/s and d = rate L: primitive(c, c e^{-d}, d), or on short pieces,
+    # where its difference would cancel, the 4-node rule in t
+    if isinstance(link, SaturatingExpLink):
+        s, g, primitive = link.cap - link.nu, lambda y: -np.expm1(-y), _saturating_primitive
+    else:
+        s, g = link.amplitude, np.tanh
+        primitive = lambda c, y0, d: _tanh_integral(c) - _tanh_integral(y0)  # noqa: E731
+    c, d = s_a / s, rate * length
+    excess = np.empty_like(c)
+    short = d < _SHORT
+    excess[short] = _gauss4(lambda t: g(c[short, None] * np.exp(-t)), 0.0, d[short])
+    cl, dl = c[~short], d[~short]
+    excess[~short] = primitive(cl, cl * np.exp(-dl), dl)
+    return link.nu * length + s * excess / rate
 
 
 def _piece_integrals(
@@ -176,31 +201,18 @@ def _piece_integrals(
 
     if isinstance(kernel, ExponentialKernel):
         s_a = path._excitation_at(a, "right")
-        if isinstance(link, _CLOSED_FORM_LINKS):
-            return _closed_form_integrals(kernel, link, s_a, length), exact
-        # S(a + x) = s_a e^{-rate x}, on equal sub-pieces with rate * length
-        # below _SHORT
-        n_sub = np.ceil(kernel.rate * length / _SHORT).astype(np.int64)
-        piece = np.repeat(np.arange(length.size), n_sub)
-        k = np.arange(piece.size) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-        width = (length / n_sub)[piece]
-        x = (k + 0.5 * (1.0 + _QUAD_NODES[:, None])) * width
-        s = s_a[piece] * np.exp(-kernel.rate * x)
-    else:
-        # tabulated: every event's age stays within one grid cell, so S is
-        # affine on the piece; read it at the quarter points
-        piece, width = np.arange(length.size), length
-        quarters = np.array([a + 0.25 * length, b - 0.25 * length])
-        q0, q1 = path._excitation_at(quarters.ravel(), "left").reshape(2, -1)
-        s = 0.5 * (q0 + q1) + (q1 - q0) * _QUAD_NODES[:, None]
+        return _closed_form_integrals(kernel, link, s_a, length), exact
+
+    # tabulated: every event's age stays within one grid cell, so S is affine
+    # on the piece; read it at the quarter points
+    quarters = np.array([a + 0.25 * length, b - 0.25 * length])
+    q0, q1 = path._excitation_at(quarters.ravel(), "left").reshape(2, -1)
+    s = 0.5 * (q0 + q1) + (q1 - q0) * _QUAD_NODES[:, None]
     # one row per node: the 4-node rule, then the 3-node one
     f = np.asarray(link(s), dtype=float)
-    i4 = 0.5 * width * (_GL_WEIGHTS @ f[:4])
-    i3 = 0.5 * width * (_GL3_WEIGHTS @ f[4:])
-    return (
-        np.bincount(piece, i4, minlength=length.size),
-        np.bincount(piece, np.abs(i4 - i3), minlength=length.size),
-    )
+    i4 = 0.5 * length * (_GL_WEIGHTS @ f[:4])
+    i3 = 0.5 * length * (_GL3_WEIGHTS @ f[4:])
+    return i4, np.abs(i4 - i3)
 
 
 def _weight_rows(values, moments: bool) -> np.ndarray:

@@ -78,9 +78,9 @@ def replicate_innovations(
     each.  Replication k uses the stream keyed by (seed, k), so results do not
     depend on execution order.
 
-    The sums come from ``_lockstep.replication_sums``, which thins exponential
-    kernels with the linear or the saturating-exp link in lockstep and gives
-    the numbers of ``simulate`` and ``first_chaos`` to rounding.
+    The sums come from ``_lockstep.replication_sums``, which thins every
+    exponential kernel in lockstep, whatever the link, and gives the numbers
+    of ``simulate`` and ``first_chaos`` to rounding.
     """
     if n_reps < 1:
         raise ParameterError(f"need at least 1 replication, got {n_reps}")

@@ -1,24 +1,37 @@
 """Innovation computation: event sums, compensator integrals, rate estimates."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import hawkesgauss as hg
-from hawkesgauss.chaos import weighted_intensity_integral
+from hawkesgauss.chaos import (
+    _SHORT, _T_FAR, _T_STEP, _closed_form_integrals, _tanh_integral, weighted_intensity_integral,
+)
 from hawkesgauss.errors import ParameterError
 from hawkesgauss.experiments import replicate_innovations
 
 
 def event_cut_oracle(path, lo, hi):
     """int lambda over (lo, hi] by adaptive quadrature through intensity_at,
-    cut at the events, where the intensity jumps."""
-    pts = sorted({lo, hi, *(t for t in path.events if lo < t < hi)})
+    cut at the events, where the intensity jumps, and for a tabulated kernel
+    also at each event plus grid age, where it kinks."""
+    ages = [0.0]
+    if isinstance(path.kernel, hg.TabulatedKernel):
+        ages = [k * path.kernel.step for k in range(len(path.kernel.values))]
+    pts = sorted({lo, hi, *(t + a for t in path.events for a in ages if lo < t + a < hi)})
     return sum(
         quad(lambda t: hg.intensity_at(path, t), a, b, limit=300, epsabs=1e-12)[0]
         for a, b in zip(pts[:-1], pts[1:])
     )
+
+
+#: a tabulated kernel, whose compensator takes the 4-node rule with the
+#: 3-node one as error estimate
+TABULATED = hg.TabulatedKernel(0.25, (0.6, 0.5, 0.4, 0.3, 0.3, 0.2, 0.1, 0.0))
 
 
 def poisson_path(events, nu=1.0, t_end=1.0):
@@ -68,8 +81,8 @@ class TestFirstChaos:
         assert val == pytest.approx(oracle, abs=1e-8)
 
     def test_quadrature_branch_matches_oracle(self):
-        # the tanh link has no closed form, so it takes the quadrature branch
-        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+        # a tabulated kernel takes the quadrature branch
+        p = hg.HawkesParams(TABULATED, hg.TanhLink(1.0, 2.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
         val, err = weighted_intensity_integral(path, u)
@@ -173,7 +186,7 @@ class TestFirstChaos:
             hg.intensity_moment_integrals(path, w)
 
     def test_quadrature_error_flagged_not_fatal(self):
-        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+        p = hg.HawkesParams(TABULATED, hg.TanhLink(1.0, 2.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
         with pytest.warns(UserWarning, match="quadrature error"):
@@ -183,7 +196,7 @@ class TestFirstChaos:
     def test_error_estimate_weighs_pieces_by_absolute_value(self):
         # the estimate bounds the error of each piece, so a sign of w cannot
         # cancel it: w, -w and |w| share one estimate
-        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+        p = hg.HawkesParams(TABULATED, hg.TanhLink(1.0, 2.0))
         _, path = hg.simulate(hg.SimConfig(p, 10.0, seed=13))
         bp = (0.0, 2.5, 6.0, 10.0)
         errs = [
@@ -262,6 +275,68 @@ class TestSaturatingClosedForm:
         assert err == 0.0
         points = [p for p in (1.0, 2.0, 4.0, 8.0, 16.0, 40.0) if p < rl] or None
         oracle = tight_quad(lambda t: hg.intensity_at(path, t), 0.0, rl, points)
+        assert abs(val - oracle) <= 1e-12 * oracle
+
+
+class TestTanhClosedForm:
+    """The tanh link on an exponential kernel integrates in closed form
+    through T(z) = int_0^z tanh(t)/t dt: a table of T below _T_FAR, its
+    asymptotic form above, and the 4-node rule on pieces shorter than
+    _SHORT."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [0.0, 1e-8, 0.5 * _T_STEP, _T_STEP, 1.5 * _T_STEP, 1.0, 1.0 + 0.5 * _T_STEP, 2.0,
+         _T_FAR - _T_STEP, _T_FAR - 1e-9, _T_FAR, _T_FAR + 1e-9, _T_FAR + 0.5, 30.0],
+    )
+    def test_tanh_integral_matches_quad(self, z):
+        got = _tanh_integral(np.array([z]))[0]
+        if z == 0.0:
+            assert got == 0.0
+            return
+        oracle = tight_quad(lambda t: math.tanh(t) / t, 0.0, z)
+        assert abs(got - oracle) <= 1e-13 * oracle
+
+    @pytest.mark.parametrize("c", [0.0, 1e-6, 1e-3, 0.5, 3.0, 18.0, 19.0, 1e4])
+    @pytest.mark.parametrize(
+        "rl", [1e-6, 1e-3, 0.5 * _SHORT, 0.999 * _SHORT, 1.001 * _SHORT, 1.0, 30.0, 300.0]
+    )
+    def test_piece_matches_quad(self, c, rl):
+        # one piece (0, L] at rate 1 from S(0+) = c * amplitude; c = 0 is the
+        # empty past
+        kernel = hg.ExponentialKernel(rate=1.0, mass=0.5)
+        for amplitude in (0.3, 2.0, 7.0):
+            link = hg.TanhLink(1.0, amplitude)
+            s_a = c * amplitude
+            val = _closed_form_integrals(kernel, link, np.array([s_a]), np.array([rl]))[0]
+            points = [p for p in (1.0, 2.0, 4.0, 8.0, 16.0, 40.0) if p < rl] or None
+            oracle = tight_quad(lambda x: link(s_a * math.exp(-x)), 0.0, rl, points)
+            assert abs(val - oracle) <= 1e-12 * oracle, amplitude
+
+    @pytest.mark.parametrize("seed", [13, 14, 15])
+    def test_simulated_path_matches_oracle(self, seed):
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.TanhLink(1.0, 2.0))
+        stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=seed))
+        u = hg.TestFunction((0.0, 10.0), (1.0,))
+        val, err = weighted_intensity_integral(path, u)
+        assert err == 0.0
+        assert val == pytest.approx(event_cut_oracle(path, 0.0, 10.0), abs=1e-10)
+
+    def test_fast_kernel_long_path_is_small_and_exact(self):
+        # rate * length reaches hundreds per piece: neither the work nor the
+        # memory of a piece may grow with it
+        p = hg.HawkesParams(hg.ExponentialKernel(100.0, 0.5), hg.TanhLink(1.0, 2.0))
+        _, path = hg.simulate(hg.SimConfig(p, 200.0, seed=1))
+        u = hg.TestFunction((0.0, 200.0), (1.0,))
+        tracemalloc.start()
+        try:
+            val, err = weighted_intensity_integral(path, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+        assert err == 0.0
+        oracle = event_cut_oracle(path, 0.0, 200.0)
         assert abs(val - oracle) <= 1e-12 * oracle
 
 

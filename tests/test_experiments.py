@@ -121,7 +121,7 @@ class TestReplicateInnovations:
 
 def lockstep_cases():
     """(name, params, u, t_end, burn_in) of the batch path: two presets and a
-    signed multi-step u on a saturating link."""
+    signed multi-step u on a saturating and on the tanh link."""
     cases = [
         (name, PRESETS[name].params, PRESETS[name].u, PRESETS[name].t_end, PRESETS[name].burn_in)
         for name in ("linear", "saturating")
@@ -129,6 +129,8 @@ def lockstep_cases():
     p = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.6), hg.SaturatingExpLink(1.0, 2.5))
     u = hg.TestFunction((1.0, 2.5, 4.0, 7.0, 9.5), (0.7, -1.2, 0.0, 2.0))
     cases.append(("signed_steps", p, u, 10.0, 3.0))
+    exp_tanh = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.5), hg.TanhLink(1.0, 2.0))
+    cases.append(("exponential_tanh", exp_tanh, u, 10.0, 2.0))
     return cases
 
 
@@ -141,16 +143,14 @@ def bad_link(link_cls, *args):
 
 def per_path_cases():
     """(name, params, u, t_end, burn_in) of the per-path route: a box kernel
-    with a signed multi-step u and burn-in, a tabulated kernel and the tanh
-    link."""
+    with a signed multi-step u and burn-in, and a tabulated kernel with the
+    tanh link."""
     steps = hg.TestFunction((1.0, 2.5, 4.0, 7.0, 9.5), (0.7, -1.2, 0.0, 2.0))
     box = hg.HawkesParams(hg.BoxKernel(0.8, 0.5), hg.SaturatingExpLink(1.0, 2.5))
     tab = hg.HawkesParams(hg.TabulatedKernel(0.25, (0.8, 0.4, 0.2, 0.1)), hg.TanhLink(1.0, 2.0))
-    exp_tanh = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.5), hg.TanhLink(1.0, 2.0))
     return [
         ("box_saturating", box, steps, 10.0, 3.0),
         ("tabulated_tanh", tab, hg.TestFunction((0.0, 2.0, 6.0), (1.0, 0.5)), 6.0, 1.0),
-        ("exponential_tanh", exp_tanh, steps, 10.0, 2.0),
     ]
 
 

@@ -2,9 +2,8 @@
 u^2 and |u|^3 against lambda, and the quadrature error (``replication_sums``).
 
 Exponential kernels, with any link, thin all paths in lockstep as numpy
-vectors.  Each running path keeps its
-Markov state: the time t of its last candidate, its last event t_last and
-S(t_last+).  Step j draws candidate j of every path from the stream layout
+vectors.  Each running path keeps its Markov state: the time t of its last
+candidate, its last event t_last and S(t_last+).  Step j draws candidate j of every path from the stream layout
 of ``simulate`` (uniforms 2j and 2j + 1 of ``rng_for(seed, k).random()``)
 and thins; it integrates nothing.  Between events lambda is deterministic,
 so the compensator is fixed by the accepted events alone (Ogata 1981): each

@@ -41,6 +41,12 @@ _CHUNK = 8192
 _RECORD = 2**12
 
 
+def _thins_in_lockstep(kernel) -> bool:
+    """Whether the replications thin in lockstep: an exponential kernel,
+    whatever the link.  Other kernels run ``simulate`` path by path."""
+    return isinstance(kernel, ExponentialKernel)
+
+
 def replication_sums(
     params: HawkesParams,
     u: TestFunction,
@@ -61,7 +67,7 @@ def replication_sums(
     """
     _check_support(u, (0.0, t_end))
     rows = _weight_rows(u.values, collect_moments)
-    if not isinstance(params.kernel, ExponentialKernel):
+    if not _thins_in_lockstep(params.kernel):
         event_sum = np.empty(n_reps)
         integrals = [np.empty(n_reps) for _ in rows]
         quad_err = np.empty(n_reps)

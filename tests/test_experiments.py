@@ -143,14 +143,17 @@ def bad_link(link_cls, *args):
 
 def per_path_cases():
     """(name, params, u, t_end, burn_in) of the per-path route: a box kernel
-    with a signed multi-step u and burn-in, and a tabulated kernel with the
-    tanh link."""
+    with a signed multi-step u and burn-in, a tabulated kernel with the tanh
+    link, and an exponential kernel with the tanh link, which thins in
+    lockstep unless the per-path route is forced."""
     steps = hg.TestFunction((1.0, 2.5, 4.0, 7.0, 9.5), (0.7, -1.2, 0.0, 2.0))
     box = hg.HawkesParams(hg.BoxKernel(0.8, 0.5), hg.SaturatingExpLink(1.0, 2.5))
     tab = hg.HawkesParams(hg.TabulatedKernel(0.25, (0.8, 0.4, 0.2, 0.1)), hg.TanhLink(1.0, 2.0))
+    exp_tanh = hg.HawkesParams(hg.ExponentialKernel(2.0, 0.5), hg.TanhLink(1.0, 2.0))
     return [
         ("box_saturating", box, steps, 10.0, 3.0),
         ("tabulated_tanh", tab, hg.TestFunction((0.0, 2.0, 6.0), (1.0, 0.5)), 6.0, 1.0),
+        ("exponential_tanh", exp_tanh, steps, 10.0, 2.0),
     ]
 
 
@@ -195,8 +198,10 @@ class TestLockstepEngine:
     @pytest.mark.parametrize("name,params,u,t_end,burn_in", per_path_cases())
     @pytest.mark.parametrize("moments", [True, False])
     def test_per_path_route_equals_single_path_oracle(
-        self, name, params, u, t_end, burn_in, moments
+        self, name, params, u, t_end, burn_in, moments, monkeypatch
     ):
+        # every case takes the per-path route, the exponential kernel too
+        monkeypatch.setattr(_lockstep, "_thins_in_lockstep", lambda kernel: False)
         n, seed = 12, 31
         ref = single_path_oracle(params, u, t_end, burn_in, n, seed)
         reps = replicate_innovations(params, u, t_end, burn_in, n, seed, collect_moments=moments)

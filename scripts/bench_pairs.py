@@ -14,19 +14,19 @@ seeds add per-layer metrics: the replication engine's time (booked as
 generators' (``simulator.self_s``), the bound, resolvent and distance layers.
 The c07, c08 and c09 acceptance tests are timed once per checkout.
 
-A fixed-work probe runs 50 jobs of each preset workload after one warm-up in
-one fresh process per checkout and preset, keeping no job's output, and
-reports the median ms per job and the process's peak RSS (``ru_maxrss``), in
-alternating order, ``PROBE_ROUNDS`` times.  Unlike ``peak_rss_mb`` of a timed
-run, which grows with the number of jobs whose summaries the run keeps, it
-measures the library's own memory.  Each checkout runs its own
-``benchmarks/`` on its own ``src/``.
-
-A second fixed-work probe times ``TANH_REPS`` replications of an
-exponential kernel with the tanh link (t_end 50, with moments), which no
-benchmark workload runs, once per fresh process after a warm-up, in
-``TANH_ROUNDS`` alternating rounds, and reports each checkout's best and
-median seconds and the process's peak RSS.
+Two fixed-work probes run in one fresh process per checkout and round,
+``PROBE_ROUNDS`` rounds with the side that runs first alternating, and report
+each side's runs with their minimum, quartiles and median.  The first runs
+50 jobs of each preset workload after one warm-up, keeping no job's output,
+and prints the median ms per job and the process's peak RSS (``ru_maxrss``).
+Unlike ``peak_rss_mb`` of a timed run, which grows with the number of jobs
+whose summaries the run keeps, it measures the library's own memory.  Each
+checkout runs its own ``benchmarks/`` on its own ``src/``.  The second times
+``TANH_REPS`` replications of an exponential kernel with the tanh link
+(t_end 50, with moments), which no benchmark workload runs, after a warm-up,
+and prints the seconds and the peak RSS.  Ten rounds, because the same
+``preset-linear`` probe moves between about 22 and 40 ms per job within
+minutes on a loaded 2-core machine: the quartiles show that spread.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ LAYER_METRICS = (
 PROBE_WORKLOADS = ("preset-linear", "preset-saturating")
 ACCEPTANCE = ("c07", "c08", "c09")
 PROBE_JOBS = 50
-PROBE_ROUNDS = 5
+PROBE_ROUNDS = 10
 #: one fixed-work probe: a warm-up and PROBE_JOBS jobs of one workload of the
 #: checkout's benchmark, outputs dropped; prints (median ms per job, peak MB)
 PROBE = """
@@ -81,7 +81,6 @@ print(1e3 * statistics.median(walls), resource.getrusage(resource.RUSAGE_SELF).r
 
 
 TANH_REPS = 1000
-TANH_ROUNDS = 3
 #: the exponential-kernel tanh-link probe: a warm-up and one timed call of
 #: replicate_innovations on the checkout's src/; prints (seconds, peak MB)
 TANH_PROBE = """
@@ -130,51 +129,44 @@ def paired(base: Path, head: Path, workload: str, trace: int, names) -> dict:
             "runs": runs}
 
 
+def probe_pairs(base: Path, head: Path, code: str, args: list, fields: tuple, label: str) -> dict:
+    """PROBE_ROUNDS runs of the probe ``code`` with ``args`` in one fresh
+    process per checkout, alternating which runs first; the probe prints one
+    number per name in ``fields``.  Per field, each side's minimum, quartiles
+    and median over the rounds, and every run."""
+    runs = {"base": [], "head": []}
+    for i in range(PROBE_ROUNDS):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            done = subprocess.run(
+                [sys.executable, "-c", code, *args], cwd=base if side == "base" else head,
+                capture_output=True, text=True, check=True,
+            )
+            row = dict(zip(fields, (float(x) for x in done.stdout.split())))
+            runs[side].append(row)
+            print(f"{label} {side}: " + ", ".join(f"{k}={v:.4g}" for k, v in row.items()),
+                  file=sys.stderr)
+
+    def spread(values):
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        return {"min": min(values), "q1": q1, "median": median, "q3": q3}
+
+    summary = {name: {side: spread([r[name] for r in rs]) for side, rs in runs.items()}
+               for name in fields}
+    return {"summary": summary, "runs": runs}
+
+
 def fixed_work(base: Path, head: Path) -> dict:
-    """Per preset workload, PROBE_ROUNDS fixed-work probes of each checkout,
-    alternating which runs first, with the medians over the rounds."""
-    out = {}
-    for workload in PROBE_WORKLOADS:
-        runs = {"base": [], "head": []}
-        for i in range(PROBE_ROUNDS):
-            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                done = subprocess.run(
-                    [sys.executable, "-c", PROBE, workload, str(PROBE_JOBS)],
-                    cwd=base if side == "base" else head, capture_output=True, text=True,
-                    check=True,
-                )
-                ms, mb = (float(x) for x in done.stdout.split())
-                runs[side].append({"ms_per_job": ms, "peak_rss_mb": mb})
-                print(f"probe {workload} {side}: {ms:.2f} ms/job, {mb:.2f} MB", file=sys.stderr)
-        out[workload] = {
-            "medians": {
-                name: {side: statistics.median(r[name] for r in rs) for side, rs in runs.items()}
-                for name in ("ms_per_job", "peak_rss_mb")
-            },
-            "runs": runs,
-        }
-    return out
+    """The PROBE fixed-work probe of each preset workload."""
+    return {w: probe_pairs(base, head, PROBE, [w, str(PROBE_JOBS)], ("ms_per_job", "peak_rss_mb"),
+                           f"probe {w}")
+            for w in PROBE_WORKLOADS}
 
 
 def tanh_probe(base: Path, head: Path) -> dict:
-    """TANH_ROUNDS runs of TANH_PROBE per checkout, alternating which runs
-    first, with each side's best and median seconds."""
-    runs = {"base": [], "head": []}
-    for i in range(TANH_ROUNDS):
-        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-            done = subprocess.run(
-                [sys.executable, "-c", TANH_PROBE, str(TANH_REPS)],
-                cwd=base if side == "base" else head, capture_output=True, text=True, check=True,
-            )
-            sec, mb = (float(x) for x in done.stdout.split())
-            runs[side].append({"seconds": sec, "peak_rss_mb": mb})
-            print(f"tanh probe {side}: {sec:.3f} s, {mb:.2f} MB", file=sys.stderr)
-    return {
-        "reps": TANH_REPS,
-        "best_s": {side: min(r["seconds"] for r in rs) for side, rs in runs.items()},
-        "median_s": {side: statistics.median(r["seconds"] for r in rs) for side, rs in runs.items()},
-        "runs": runs,
-    }
+    """The TANH_PROBE fixed-work probe."""
+    return {"reps": TANH_REPS,
+            **probe_pairs(base, head, TANH_PROBE, [str(TANH_REPS)], ("seconds", "peak_rss_mb"),
+                          "tanh probe")}
 
 
 def time_acceptance(checkout: Path, criterion: str) -> dict:
@@ -231,7 +223,7 @@ def main(argv=None) -> int:
                                    f"one fresh process each, {PROBE_ROUNDS} alternating rounds",
                      "tanh_probe": f"{TANH_REPS} exponential x tanh replications, t_end 50, "
                                    f"with moments, after a warm-up, one fresh process each, "
-                                   f"{TANH_ROUNDS} alternating rounds"},
+                                   f"{PROBE_ROUNDS} alternating rounds"},
         "base": git_version(base),
         "head": git_version(head),
         "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},

@@ -7,17 +7,19 @@ and at every later age where an event's kernel term jumps or kinks (kernel
 expiries, and the grid nodes of tabulated kernels), and every piece of a path
 is integrated in one numpy pass.  On an exponential kernel S = s e^{-rate x}
 on a piece, so every link integrates in closed form in S: the linear link
-directly, the saturating-exp link through the exponential integral E1 and
-the tanh link through T(z) = int_0^z tanh(t)/t dt.  Box and zero kernels are
-piecewise constant.  Tabulated kernels take the 4-node Gauss-Legendre rule
-on every piece at once, with the difference from the 3-node rule as error
-estimate; their excitation is affine on a piece, so the linear link is exact
-there.  One pass integrates the pieces once for the rows u, u^2 and |u|^3 of
-``_weight_rows``.  The closed forms take each piece's start excitation and
-length (``_closed_form_integrals``), so the lockstep engine in ``_lockstep``
-integrates its record of inter-event intervals with the same code and rows.
-``scipy.special`` (about 0.3 s and 25 MB to import on a 2-vCPU x86 machine)
-is imported where E1 is evaluated, not with the module.
+directly, and both nonlinear links by one difference F(c) - F(c e^{-rate L})
+of a primitive, F = Ein(z) = int_0^z (1 - e^{-t})/t dt for the saturating-exp
+link and F = T(z) = int_0^z tanh(t)/t dt for the tanh link.  Box and zero
+kernels are piecewise constant.  Tabulated kernels take the 4-node
+Gauss-Legendre rule on every piece at once, with the difference from the
+3-node rule as error estimate; their excitation is affine on a piece, so the
+linear link is exact there.  One pass integrates the pieces once for the rows
+u, u^2 and |u|^3 of ``_weight_rows``.  The closed forms take each piece's
+start excitation and length (``_closed_form_integrals``), so the lockstep
+engine in ``_lockstep`` integrates its record of inter-event intervals with
+the same code and rows.  ``scipy.special`` (about 0.3 s and 25 MB to import
+on a 2-vCPU x86 machine) is imported where Ein evaluates E1, not with the
+module.
 """
 
 from __future__ import annotations
@@ -74,7 +76,10 @@ def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
     bp = np.asarray(w.breakpoints)
     lo, hi = bp[0], bp[-1]
     knots = (np.asarray(path.events)[:, None] + _kink_ages(path.kernel)).ravel()
-    return np.union1d(bp, knots[(knots > lo) & (knots < hi)])
+    # sort and drop repeats by hand: np.unique (and np.union1d through it)
+    # imports numpy.ma on first use, about 15 ms
+    cuts = np.sort(np.concatenate([bp, knots[(knots > lo) & (knots < hi)]]))
+    return cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
 
 
 # Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 28 terms
@@ -85,8 +90,8 @@ _EIN_SWITCH = 3.0
 _EIN_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(28, 0, -1)]
 # pieces with rate * length below _SHORT take the 4-node Gauss-Legendre rule
 # on [-1, 1], whose truncation error there stays below 2e-15 relative; above
-# it the Ein, E1 and T differences cancel by at most a factor of about 10.  Nodes
-# and weights in closed form (numpy's leggauss would start LAPACK at import)
+# it the Ein and T differences cancel by at most a factor of about 10.  Nodes and
+# weights in closed form (numpy's leggauss would start LAPACK at import)
 _SHORT = 0.1
 _GL_INNER, _GL_OUTER = (math.sqrt(3 / 7 + q * 2 / 7 * math.sqrt(6 / 5)) for q in (-1, 1))
 _GL_NODES = np.array([-_GL_OUTER, -_GL_INNER, _GL_INNER, _GL_OUTER])
@@ -145,19 +150,6 @@ def _ein(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _saturating_primitive(c: np.ndarray, y0: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Ein(c) - Ein(y0) = d - (E1(y0) - E1(c)) for y0 = c e^{-d}.  The E1
-    form serves y0 >= _EIN_SWITCH, where both E1 values are small; Ein serves
-    smaller y0, so c = 0 and an underflowing y0 need no E1 call."""
-    from scipy.special import exp1
-
-    out = np.empty_like(c)
-    far = y0 >= _EIN_SWITCH
-    out[far] = d[far] - (exp1(y0[far]) - exp1(c[far]))
-    out[~far] = _ein(c[~far]) - _ein(y0[~far])
-    return out
-
-
 def _closed_form_integrals(
     kernel: ExponentialKernel, link, s_a: np.ndarray, length: np.ndarray
 ) -> np.ndarray:
@@ -169,19 +161,18 @@ def _closed_form_integrals(
         # int (nu + s_a e^{-rate u}) du
         return link.nu * length - s_a * np.expm1(-rate * length) / rate
     # int (nu + s g(S/s)) du = nu L + (s/rate) int_0^d g(c e^{-t}) dt with
-    # c = s_a/s and d = rate L: primitive(c, c e^{-d}, d), or on short pieces,
-    # where its difference would cancel, the 4-node rule in t
+    # c = s_a/s and d = rate L: F(c) - F(c e^{-d}) with F(z) = int_0^z g(t)/t dt,
+    # or on short pieces, where that difference would cancel, the 4-node rule in t
     if isinstance(link, SaturatingExpLink):
-        s, g, primitive = link.cap - link.nu, lambda y: -np.expm1(-y), _saturating_primitive
+        s, g, primitive = link.cap - link.nu, lambda y: -np.expm1(-y), _ein
     else:
-        s, g = link.amplitude, np.tanh
-        primitive = lambda c, y0, d: _tanh_integral(c) - _tanh_integral(y0)  # noqa: E731
+        s, g, primitive = link.amplitude, np.tanh, _tanh_integral
     c, d = s_a / s, rate * length
     excess = np.empty_like(c)
     short = d < _SHORT
     excess[short] = _gauss4(lambda t: g(c[short, None] * np.exp(-t)), 0.0, d[short])
-    cl, dl = c[~short], d[~short]
-    excess[~short] = primitive(cl, cl * np.exp(-dl), dl)
+    cl = c[~short]
+    excess[~short] = primitive(cl) - primitive(cl * np.exp(-d[~short]))
     return link.nu * length + s * excess / rate
 
 

@@ -155,7 +155,7 @@ def _parse_form(section: str, data: dict) -> tuple[str, tuple]:
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

@@ -186,8 +186,9 @@ Kernel = Union[ExponentialKernel, BoxKernel, TabulatedKernel]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LinearLink:
-    """phi(x) = nu + x."""
+class _Link:
+    """What every link shares: phi(0) = nu > 0 and slope at most 1, the two
+    facts the bounds read, as ``phi0`` and ``lipschitz``."""
 
     nu: float
 
@@ -195,11 +196,6 @@ class LinearLink:
         _check_finite("nu", self.nu)
         if self.nu <= 0:
             raise ParameterError(f"nu must be > 0, got {self.nu}")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.nu + x
-        return out if out.ndim else float(out)
 
     @property
     def phi0(self) -> float:
@@ -211,21 +207,27 @@ class LinearLink:
 
 
 @dataclass(frozen=True)
-class SaturatingExpLink:
+class LinearLink(_Link):
+    """phi(x) = nu + x."""
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = self.nu + x
+        return out if out.ndim else float(out)
+
+
+@dataclass(frozen=True)
+class SaturatingExpLink(_Link):
     """phi(x) = cap - (cap - nu) * exp(-x / (cap - nu)).
 
-    Starts at nu, saturates at cap; slope exp(-x/(cap-nu)) <= 1, so the
-    Lipschitz constant is 1.
+    Starts at nu, saturates at cap; slope exp(-x/(cap-nu)) <= 1.
     """
 
-    nu: float
     cap: float
 
     def __post_init__(self):
-        _check_finite("nu", self.nu)
+        super().__post_init__()
         _check_finite("cap", self.cap)
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be > 0, got {self.nu}")
         if self.cap <= self.nu:
             raise ParameterError(f"cap must exceed nu, got cap={self.cap}, nu={self.nu}")
 
@@ -235,27 +237,16 @@ class SaturatingExpLink:
         out = self.cap - s * np.exp(-x / s)
         return out if out.ndim else float(out)
 
-    @property
-    def phi0(self) -> float:
-        return self.nu
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
-class TanhLink:
+class TanhLink(_Link):
     """phi(x) = nu + amplitude * tanh(x / amplitude); slope at most 1."""
 
-    nu: float
     amplitude: float
 
     def __post_init__(self):
-        _check_finite("nu", self.nu)
+        super().__post_init__()
         _check_finite("amplitude", self.amplitude)
-        if self.nu <= 0:
-            raise ParameterError(f"nu must be > 0, got {self.nu}")
         if self.amplitude <= 0:
             raise ParameterError(f"amplitude must be > 0, got {self.amplitude}")
 
@@ -263,14 +254,6 @@ class TanhLink:
         x = np.asarray(x, dtype=float)
         out = self.nu + self.amplitude * np.tanh(x / self.amplitude)
         return out if out.ndim else float(out)
-
-    @property
-    def phi0(self) -> float:
-        return self.nu
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0
 
 
 LinkFunction = Union[LinearLink, SaturatingExpLink, TanhLink]

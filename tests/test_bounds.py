@@ -441,3 +441,26 @@ class TestImportCost:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert done.stdout.split() == ["False", "True"]
+
+    def test_chaos_does_not_load_numpy_ma(self):
+        # numpy.ma costs about 15 ms to import; cutting a path into pieces
+        # must not load it, on any kernel.  The tanh link integrates without
+        # scipy.special, which imports numpy.ma itself
+        code = "\n".join([
+            "import sys",
+            "import hawkesgauss as hg",
+            "u = hg.TestFunction((0.0, 2.0, 5.0), (1.0, -0.5))",
+            "for kernel in (hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(0.7, 0.5),",
+            "               hg.TabulatedKernel(0.25, (1.0, 0.5, 0.0))):",
+            "    p = hg.HawkesParams(kernel, hg.TanhLink(1.0, 2.0))",
+            "    stream, path = hg.simulate(hg.SimConfig(p, 5.0, seed=3))",
+            "    hg.first_chaos(stream, path, u)",
+            "    hg.intensity_moment_integrals(path, u)",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = str(Path(hg.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.split() == ["False"]

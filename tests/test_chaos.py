@@ -92,7 +92,7 @@ class TestFirstChaos:
 
     @pytest.mark.parametrize("seed", [13, 14, 15])
     def test_saturating_closed_form_matches_oracle(self, seed):
-        # saturating-exp link on an exponential kernel: closed form through E1
+        # saturating-exp link on an exponential kernel: closed form through Ein
         p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0))
         stream, path = hg.simulate(hg.SimConfig(p, 10.0, seed=seed))
         u = hg.TestFunction((0.0, 10.0), (1.0,))
@@ -234,13 +234,14 @@ def tight_quad(f, a, b, points=None):
 
 
 class TestSaturatingClosedForm:
-    """The E1 closed form stays finite and exact where its terms over- or
-    underflow: c = s_a/(cap - nu) at 0 or tiny, and rate * length tiny or huge."""
+    """The closed form Ein(c) - Ein(c e^{-rL}) stays finite and exact where
+    its terms over- or underflow: c = s_a/(cap - nu) at 0, tiny or large (Ein
+    evaluated through E1 at both ends), and rate * length tiny or huge."""
 
     LINK = hg.SaturatingExpLink(1.0, 3.0)
 
     def test_fast_kernel_long_quiet_segment(self):
-        # c e^{-rL} underflows to 0: E1 of it would be infinite
+        # c e^{-rL} underflows to 0, where Ein takes its series
         kernel = hg.ExponentialKernel(rate=100.0, mass=0.5)
         path = hg.IntensityPath.build((1.0,), kernel, self.LINK, 0.0, 30.0)
         u = hg.TestFunction((0.0, 30.0), (1.0,))
@@ -251,11 +252,13 @@ class TestSaturatingClosedForm:
         assert math.isfinite(val)
         assert abs(val - oracle) <= 1e-12 * oracle
 
-    # c = 2.7 sits where the Ein series cancels most before it hands over to E1
-    @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 2.7, 50.0])
-    # rl straddles the switch between the short-piece rule and the E1/Ein
-    # forms at rate * length = 0.1, where the differences cancel worst, and
-    # the earlier switch at 1e-2
+    # c = 2.7 sits where the Ein series cancels most before it hands over to
+    # E1; from c = 3.5 up, c e^{-rL} >= 3 on the shorter long pieces, so both
+    # Ein values come from E1 and their difference cancels in ln c
+    @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 2.7, 3.5, 50.0, 1e4])
+    # rl straddles the switch between the short-piece rule and the Ein
+    # difference at rate * length = 0.1, where the differences cancel worst,
+    # and the earlier switch at 1e-2
     @pytest.mark.parametrize(
         "rl", [1e-12, 1e-3, 0.0099, 0.0101, 0.02, 0.0999, 0.1001, 1.0, 800.0]
     )

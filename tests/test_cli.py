@@ -1,5 +1,8 @@
 """Config parsing/serialization and the command-line surface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from hawkesgauss import cli
@@ -93,6 +96,19 @@ class TestConfigParsing:
         assert cfg2.build_u().values == (1.0, -0.5)
         assert cfg2.reps == 10000  # default
         assert cfg2.mode == "rplus"
+
+    def test_readme_example_parses(self):
+        # the INI block under "### Configuration format", with its inline
+        # "; comment" annotations
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Configuration format", 1)[1]
+        text = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+        cfg = parse_config(text)
+        assert (cfg.mode, cfg.burn_in, cfg.experiment_name) == ("rplus", 5.0, "sweep-nonlinear")
+        params = cfg.build_params()
+        assert params.alpha_mu == 0.5 and params.phi0 == 1.0
+        assert cfg.build_u(params).support == (0.0, 10.0)
+        assert parse_config(serialize_config(cfg)) == cfg
 
     def test_tabulated_and_tanh_roundtrip(self):
         text = """\

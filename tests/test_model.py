@@ -95,6 +95,10 @@ class TestKernels:
             hg.TabulatedKernel(0.1, (0.5,))
 
 
+# every link rejects these as its base rate nu
+BAD_NU = (0.0, -1.0, math.nan, math.inf)
+
+
 class TestLinks:
     @pytest.mark.parametrize(
         "link",
@@ -133,13 +137,20 @@ class TestLinks:
         assert np.all(link(xs) <= 3.0)
         assert link(100.0) == pytest.approx(3.0, abs=1e-6)
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "link, kwargs",
+        [(hg.LinearLink, {"nu": nu}) for nu in BAD_NU]
+        + [(hg.SaturatingExpLink, {"nu": nu, "cap": 5.0}) for nu in BAD_NU]
+        + [(hg.TanhLink, {"nu": nu, "amplitude": 2.0}) for nu in BAD_NU]
+        + [(hg.SaturatingExpLink, {"nu": 2.0, "cap": cap}) for cap in (1.0, 2.0, math.inf)]
+        + [(hg.TanhLink, {"nu": 1.0, "amplitude": a}) for a in (0.0, -1.0, math.nan)],
+        ids=lambda v: (
+            v.__name__ if isinstance(v, type) else "-".join(f"{k}={x}" for k, x in v.items())
+        ),
+    )
+    def test_validation(self, link, kwargs):
         with pytest.raises(ParameterError):
-            hg.LinearLink(nu=0.0)
-        with pytest.raises(ParameterError):
-            hg.SaturatingExpLink(nu=2.0, cap=1.0)
-        with pytest.raises(ParameterError):
-            hg.TanhLink(nu=1.0, amplitude=0.0)
+            link(**kwargs)
 
 
 def _step_functions():

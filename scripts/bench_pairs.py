@@ -6,8 +6,9 @@ For every workload and each of the held-out seeds 101-110,
 ``benchmarks/run.py --trace 0`` runs once in each checkout at the
 benchmark's own run length, one after the other, with the base first on odd
 seeds and the head first on even ones, so that slow drifts of the machine's
-load hit both sides alike.  The file keeps every run's end-to-end metrics and
-their medians, and the number of seeds on which the head reads lower.
+load hit both sides alike.  The file keeps every run's end-to-end metrics,
+each side's median and quartiles, and the number of seeds on which the head
+reads lower.
 ``--trace 1`` runs of ``preset-saturating`` and ``analytic`` on the same
 seeds add per-layer metrics: the replication engine's time (booked as
 ``experiments.self_s``, since tracing sees only public functions), the
@@ -26,7 +27,10 @@ checkout runs its own ``benchmarks/`` on its own ``src/``.  The second times
 (t_end 50, with moments), which no benchmark workload runs, after a warm-up,
 and prints the seconds and the peak RSS.  Ten rounds, because the same
 ``preset-linear`` probe moves between about 22 and 40 ms per job within
-minutes on a loaded 2-core machine: the quartiles show that spread.
+minutes on a loaded 2-core machine: the quartiles show that spread.  Last,
+one ``-X importtime`` run of each preset workload's set-up probe per
+checkout gives the cumulative import time of numpy, hawkesgauss, scipy and
+``scipy.special``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ LAYER_METRICS = (
 )
 PROBE_WORKLOADS = ("preset-linear", "preset-saturating")
 ACCEPTANCE = ("c07", "c08", "c09")
+#: modules whose cumulative import time ``import_times`` reports
+IMPORT_MODULES = ("numpy", "hawkesgauss", "scipy", "scipy.special")
 PROBE_JOBS = 50
 PROBE_ROUNDS = 10
 #: one fixed-work probe: a warm-up and PROBE_JOBS jobs of one workload of the
@@ -107,6 +113,12 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
             "metrics": {k: v["value"] for k, v in out["metrics"].items()}}
 
 
+def spread(values) -> dict:
+    """Minimum, quartiles (inclusive method) and median of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"min": min(values), "q1": q1, "median": median, "q3": q3}
+
+
 def paired(base: Path, head: Path, workload: str, trace: int, names) -> dict:
     runs = {"base": [], "head": []}
     for seed in SEEDS:
@@ -118,13 +130,14 @@ def paired(base: Path, head: Path, workload: str, trace: int, names) -> dict:
                   + ", ".join(f"{n}={res['metrics'].get(n)}" for n in names), file=sys.stderr)
     summary = {}
     for name in names:
-        b = statistics.median(r["metrics"][name] for r in runs["base"])
-        h = statistics.median(r["metrics"][name] for r in runs["head"])
+        b = spread([r["metrics"][name] for r in runs["base"]])
+        h = spread([r["metrics"][name] for r in runs["head"]])
         lower = sum(rh["metrics"][name] < rb["metrics"][name]
                     for rb, rh in zip(runs["base"], runs["head"]))
-        summary[name] = {"base_median": b, "head_median": h, "head_over_base": h / b if b else None,
+        summary[name] = {"base": b, "head": h,
+                         "head_over_base": h["median"] / b["median"] if b["median"] else None,
                          "head_lower_pairs": lower}
-    return {"medians": summary,
+    return {"summary": summary,
             "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
             "runs": runs}
 
@@ -145,11 +158,6 @@ def probe_pairs(base: Path, head: Path, code: str, args: list, fields: tuple, la
             runs[side].append(row)
             print(f"{label} {side}: " + ", ".join(f"{k}={v:.4g}" for k, v in row.items()),
                   file=sys.stderr)
-
-    def spread(values):
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-        return {"min": min(values), "q1": q1, "median": median, "q3": q3}
-
     summary = {name: {side: spread([r[name] for r in rs]) for side, rs in runs.items()}
                for name in fields}
     return {"summary": summary, "runs": runs}
@@ -167,6 +175,25 @@ def tanh_probe(base: Path, head: Path) -> dict:
     return {"reps": TANH_REPS,
             **probe_pairs(base, head, TANH_PROBE, [str(TANH_REPS)], ("seconds", "peak_rss_mb"),
                           "tanh probe")}
+
+
+def import_times(checkout: Path, workload: str) -> dict:
+    """``-X importtime`` of one ``benchmarks/run.py --setup-probe`` process
+    in ``checkout``: the cumulative microseconds of every top-level import
+    summed, and of the modules in ``IMPORT_MODULES`` (None when not loaded)."""
+    cmd = [sys.executable, "-X", "importtime", "benchmarks/run.py", "--setup-probe",
+           "--workload", workload, "--seed", str(SEEDS[0])]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    cumulative = {}
+    total = 0
+    for line in done.stderr.splitlines():
+        fields = line.split("|")
+        # "import time: self | cumulative | name", nested imports indented
+        if line.startswith("import time:") and fields[1].strip().isdigit():
+            cum, name = int(fields[1]), fields[2]
+            total += 0 if name.startswith("  ") else cum
+            cumulative.setdefault(name.strip(), cum)
+    return {"top_level_cum_us": total, **{m: cumulative.get(m) for m in IMPORT_MODULES}}
 
 
 def time_acceptance(checkout: Path, criterion: str) -> dict:
@@ -230,6 +257,8 @@ def main(argv=None) -> int:
         "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in TRACED},
         "fixed_work": fixed_work(base, head),
         "tanh_probe": tanh_probe(base, head),
+        "import_time": {w: {"base": import_times(base, w), "head": import_times(head, w)}
+                        for w in PROBE_WORKLOADS},
         "acceptance": {c: {"base": time_acceptance(base, c), "head": time_acceptance(head, c)}
                        for c in ACCEPTANCE},
     }

@@ -17,9 +17,9 @@ linear link is exact there.  One pass integrates the pieces once for the rows
 u, u^2 and |u|^3 of ``_weight_rows``.  The closed forms take each piece's
 start excitation and length (``_closed_form_integrals``), so the lockstep
 engine in ``_lockstep`` integrates its record of inter-event intervals with
-the same code and rows.  ``scipy.special`` (about 0.3 s and 25 MB to import
-on a 2-vCPU x86 machine) is imported where Ein evaluates E1, not with the
-module.
+the same code and rows.  T and, beyond its series, Ein are read from
+cumulative tables of 4-node panels built at import (``_panel_table``), so
+no special-function library is needed.
 """
 
 from __future__ import annotations
@@ -82,12 +82,6 @@ def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
     return cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
 
 
-# Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 28 terms
-# reach rounding for z < _EIN_SWITCH and cost less than scipy's exp1 there,
-# which takes about 1 us per value on [1, 3] against 0.15 us below 1 and
-# above 5 (2-vCPU x86)
-_EIN_SWITCH = 3.0
-_EIN_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(28, 0, -1)]
 # pieces with rate * length below _SHORT take the 4-node Gauss-Legendre rule
 # on [-1, 1], whose truncation error there stays below 2e-15 relative; above
 # it the Ein and T differences cancel by at most a factor of about 10.  Nodes and
@@ -105,6 +99,12 @@ _QUAD_NODES = np.concatenate([_GL_NODES, _GL3_NODES])
 # panel's error is below 1e-16); beyond, T(z) = ln z + ln(4/pi) + gamma up to
 # less than e^{-2z}/z
 _T_STEP, _T_FAR = 1 / 16, 18.5
+# Ein(z) = int_0^z (1 - e^{-t})/t dt = sum_k (-1)^{k+1} z^k / (k k!): 28 terms
+# reach rounding for z < _EIN_SWITCH, beyond which the alternating terms
+# cancel; from there to _EIN_FAR Ein is tabulated like T (its integrand is
+# entire), and beyond, Ein(z) = ln z + gamma up to E1(z) < 3e-18
+_EIN_SWITCH, _EIN_FAR = 3.0, 37.0
+_EIN_SERIES = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(28, 0, -1)]
 
 
 def _gauss4(f, a, b) -> np.ndarray:
@@ -119,24 +119,42 @@ def _tanh_ratio(t: np.ndarray) -> np.ndarray:
     return np.divide(np.tanh(t), t, out=np.ones_like(t), where=t != 0.0)
 
 
-_T_EDGES = np.arange(_T_FAR / _T_STEP + 1) * _T_STEP
-_T_TABLE = np.concatenate([[0.0], np.cumsum(_gauss4(_tanh_ratio, _T_EDGES[:-1], _T_EDGES[1:]))])
+def _ein_ratio(t: np.ndarray) -> np.ndarray:
+    """(1 - e^{-t})/t for t > 0."""
+    return -np.expm1(-t) / t
+
+
+def _panel_table(ratio, far: float) -> np.ndarray:
+    """int_0^{k _T_STEP} ratio(t) dt for k = 0 .. far/_T_STEP, one 4-node
+    panel per step."""
+    edges = np.arange(far / _T_STEP + 1) * _T_STEP
+    return np.concatenate([[0.0], np.cumsum(_gauss4(ratio, edges[:-1], edges[1:]))])
+
+
+_T_TABLE = _panel_table(_tanh_ratio, _T_FAR)
+_EIN_TABLE = _panel_table(_ein_ratio, _EIN_FAR)
+
+
+def _tabulated(z: np.ndarray, ratio, table: np.ndarray, far_offset: float) -> np.ndarray:
+    """int_0^z ratio(t) dt for z >= 0 from its ``_panel_table``: the nearest
+    table entry plus one panel to z below the table's end, ln z + far_offset
+    beyond."""
+    far = (table.size - 1) * _T_STEP
+    out = np.log(np.maximum(z, far)) + far_offset
+    near = z < far
+    k = np.rint(z[near] / _T_STEP).astype(np.intp)
+    out[near] = table[k] + _gauss4(ratio, k * _T_STEP, z[near])
+    return out
 
 
 def _tanh_integral(z: np.ndarray) -> np.ndarray:
-    """T(z) for z >= 0: the nearest table entry plus one panel to z."""
-    out = np.log(np.maximum(z, _T_FAR)) + (math.log(4 / math.pi) + np.euler_gamma)
-    near = z < _T_FAR
-    k = np.rint(z[near] / _T_STEP).astype(np.intp)
-    out[near] = _T_TABLE[k] + _gauss4(_tanh_ratio, k * _T_STEP, z[near])
-    return out
+    """T(z) for z >= 0."""
+    return _tabulated(z, _tanh_ratio, _T_TABLE, math.log(4 / math.pi) + np.euler_gamma)
 
 
 def _ein(z: np.ndarray) -> np.ndarray:
     """Ein(z) = E1(z) + ln z + gamma for z >= 0, without cancellation: by its
-    series below _EIN_SWITCH, through E1 above."""
-    from scipy.special import exp1
-
+    series below _EIN_SWITCH, from its table above."""
     out = np.empty_like(z)
     small = z < _EIN_SWITCH
     zs = z[small]
@@ -145,8 +163,7 @@ def _ein(z: np.ndarray) -> np.ndarray:
         acc *= zs
         acc += coef
     out[small] = zs * acc
-    big = z[~small]
-    out[~small] = exp1(big) + np.log(big) + np.euler_gamma
+    out[~small] = _tabulated(z[~small], _ein_ratio, _EIN_TABLE, np.euler_gamma)
     return out
 
 

@@ -6,10 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exp1
 
 import hawkesgauss as hg
 from hawkesgauss.chaos import (
-    _SHORT, _T_FAR, _T_STEP, _closed_form_integrals, _tanh_integral, weighted_intensity_integral,
+    _EIN_FAR, _EIN_SWITCH, _SHORT, _T_FAR, _T_STEP, _closed_form_integrals, _ein, _tanh_integral,
+    weighted_intensity_integral,
 )
 from hawkesgauss.errors import ParameterError
 from hawkesgauss.experiments import replicate_innovations
@@ -236,7 +238,8 @@ def tight_quad(f, a, b, points=None):
 class TestSaturatingClosedForm:
     """The closed form Ein(c) - Ein(c e^{-rL}) stays finite and exact where
     its terms over- or underflow: c = s_a/(cap - nu) at 0, tiny or large (Ein
-    evaluated through E1 at both ends), and rate * length tiny or huge."""
+    from its table or as ln z + gamma at both ends), and rate * length tiny or
+    huge."""
 
     LINK = hg.SaturatingExpLink(1.0, 3.0)
 
@@ -252,9 +255,20 @@ class TestSaturatingClosedForm:
         assert math.isfinite(val)
         assert abs(val - oracle) <= 1e-12 * oracle
 
+    def test_ein_matches_exp1(self):
+        # scipy is a test-only oracle: Ein(z) = E1(z) + ln z + gamma above the
+        # series, across the table's panels and on both sides of its end
+        z = np.concatenate([
+            np.linspace(_EIN_SWITCH, 40.0, 4_001), np.geomspace(_EIN_SWITCH, 1e4, 1_001),
+            _EIN_FAR + np.array([-1e-9, -1e-15, 0.0, 1e-14, 1e-9]),
+        ])
+        ref = exp1(z) + np.log(z) + np.euler_gamma
+        assert np.all(np.abs(_ein(z) - ref) <= 1e-14 * ref)
+
     # c = 2.7 sits where the Ein series cancels most before it hands over to
-    # E1; from c = 3.5 up, c e^{-rL} >= 3 on the shorter long pieces, so both
-    # Ein values come from E1 and their difference cancels in ln c
+    # the table; from c = 3.5 up, c e^{-rL} >= 3 on the shorter long pieces, so
+    # both Ein values come from the table or ln z + gamma, and their difference
+    # cancels in ln c
     @pytest.mark.parametrize("c", [0.0, 1e-300, 1e-12, 1e-3, 1.0, 2.7, 3.5, 50.0, 1e4])
     # rl straddles the switch between the short-piece rule and the Ein
     # difference at rate * length = 0.1, where the differences cancel worst,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hawkesgauss as hg
 from hawkesgauss.errors import ParameterError, StatisticalError
-from hawkesgauss.stats import SampleSet
+from hawkesgauss.stats import SampleSet, _w1_roots
 
 
 def bisect_quantile(q, lo=-40.0, hi=40.0, iters=200):
@@ -54,6 +54,24 @@ class TestNormalFunctions:
         qs = np.array([0.2, 0.5, 0.8])
         xs = hg.normal_quantile(qs)
         assert np.allclose(hg.normal_cdf(xs), qs, atol=1e-12)
+
+    def test_cdf_matches_scipy_ndtr(self):
+        # scipy is a test-only oracle; the left end reaches ndtr's 1e-297
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-37.0, 8.0, 20_001), [-37.0, -5.0, 0.0, 8.0]])
+        got, ref = hg.normal_cdf(x), ndtr(x)
+        assert np.all(np.abs(got - ref) <= 1e-12 * ref)
+
+    def test_quantile_matches_scipy_ndtri(self):
+        from scipy.special import ndtri
+
+        q = np.concatenate([
+            np.geomspace(1e-300, 0.5, 2_000), 1.0 - np.geomspace(1e-16, 0.5, 2_000)
+        ]).reshape(2, -1)
+        got, ref = hg.normal_quantile(q), ndtri(q)
+        assert got.shape == q.shape
+        assert np.all(np.abs(got - ref) <= 5e-15 * np.abs(ref))
 
 
 class TestW1:
@@ -102,6 +120,18 @@ class TestW1:
         b = hg.empirical_w1_to_normal(SampleSet(rng.permutation(x)))
         assert a == b
         assert a >= 0.0
+
+    def test_cached_roots_read_only_and_cold_equals_warm(self):
+        s = SampleSet(np.random.default_rng(4).standard_normal(257))
+        _w1_roots.cache_clear()
+        cold = hg.empirical_w1_to_normal(s)
+        roots, a_roots = _w1_roots(s.count)
+        assert _w1_roots.cache_info().hits == 1
+        for arr in (roots, a_roots):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        assert hg.empirical_w1_to_normal(s) == cold
+        assert np.array_equal(roots, hg.normal_quantile(np.arange(1, 257) / 257))
 
     def test_bootstrap_se(self):
         rng = np.random.default_rng(9)
@@ -238,6 +268,13 @@ class TestSampleSet:
     def test_nonfinite_rejected(self):
         with pytest.raises(StatisticalError):
             SampleSet(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize(
+        "shape", [(), (2, 500), (1, 500), (500, 1), (2, 3, 4)], ids=lambda s: "x".join(map(str, s)) or "scalar"
+    )
+    def test_not_one_dimensional_rejected(self, shape):
+        with pytest.raises(StatisticalError, match="one-dimensional"):
+            SampleSet(np.ones(shape))
 
 
 class TestConfidenceInterval:

@@ -209,9 +209,14 @@ def time_acceptance(checkout: Path, criterion: str) -> dict:
 
 
 def machine() -> dict:
+    """The machine and its library versions; scipy's only where it is
+    installed, since the library itself needs numpy alone."""
     import numpy
-    import scipy
 
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
     cpu = None
     try:
         for line in Path("/proc/cpuinfo").read_text().splitlines():
@@ -222,7 +227,7 @@ def machine() -> dict:
         pass
     return {"nproc": os.cpu_count(), "cpu": cpu, "platform": platform.platform(),
             "python": platform.python_version(), "numpy": numpy.__version__,
-            "scipy": scipy.__version__}
+            "scipy": scipy.__version__ if scipy else None}
 
 
 def git_version(checkout: Path) -> str | None:

@@ -1,5 +1,5 @@
-"""Replication engine: per replication, the event sum, the integrals of u,
-u^2 and |u|^3 against lambda, and the quadrature error (``replication_sums``).
+"""Replication engine: per replication, the event sum and the integrals of
+u, u^2 and |u|^3 against lambda (``replication_sums``).
 
 Exponential kernels, with any link, thin all paths in lockstep as numpy
 vectors.  Each running path keeps its Markov state: the time t of its last
@@ -14,7 +14,8 @@ intervals are met with u's nonzero pieces and each weight row times lambda
 is integrated in the closed forms of ``chaos``, on the pieces cut at events
 as in ``chaos.first_chaos``.  Only running sums are kept, and memory grows
 with the number of paths thinned together, at most ``_CHUNK``, plus the
-fixed record.  Box and tabulated kernels run ``simulate`` path by path.
+fixed record.  Box and tabulated kernels run ``simulate`` path by path, and
+``chaos`` integrates each path's pieces in closed form too.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ def replication_sums(
     n_reps: int,
     seed: int,
     collect_moments: bool,
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Per replication k of ``n_reps``: the event sum sum_i u(T_i) over
-    (0, t_end]; the rows int u lambda, then int u^2 lambda and
+    (0, t_end], and the rows int u lambda, then int u^2 lambda and
     int |u|^3 lambda when ``collect_moments`` is set, each its own array,
-    so that a caller keeping one row keeps no other; and the error estimate
-    of int u lambda, which is 0 where the compensator is in closed form.
+    so that a caller keeping one row keeps no other.  Every compensator is
+    in closed form, on both routes.
 
     Replication k thins the path of ``simulate`` for
     ``SimConfig(params, t_end, burn_in, seed, k)``.
@@ -70,14 +71,12 @@ def replication_sums(
     if not _thins_in_lockstep(params.kernel):
         event_sum = np.empty(n_reps)
         integrals = [np.empty(n_reps) for _ in rows]
-        quad_err = np.empty(n_reps)
         for k in range(n_reps):
             stream, path = simulate(SimConfig(params, t_end, burn_in, seed, k))
             event_sum[k] = _event_sum(stream, u)
-            sums, quad_err[k] = _weighted_integrals(path, u, rows)
-            for out, value in zip(integrals, sums):
+            for out, value in zip(integrals, _weighted_integrals(path, u, rows)):
                 out[k] = value
-        return event_sum, integrals, quad_err
+        return event_sum, integrals
     bp = np.asarray(u.breakpoints)
     nonzero = np.asarray(u.values) != 0.0
     pieces = (bp[:-1][nonzero], bp[1:][nonzero], rows[:, nonzero])
@@ -89,7 +88,7 @@ def replication_sums(
             params, u, pieces, t_end, burn_in, seed, first,
             event_sum[chunk], [out[chunk] for out in integrals],
         )
-    return event_sum, integrals, np.zeros(n_reps)
+    return event_sum, integrals
 
 
 def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integrals):

@@ -5,21 +5,22 @@ constant rate estimate in place of lambda(t).
 The compensator integral is cut into pieces at w's breakpoints, at events
 and at every later age where an event's kernel term jumps or kinks (kernel
 expiries, and the grid nodes of tabulated kernels), and every piece of a path
-is integrated in one numpy pass.  On an exponential kernel S = s e^{-rate x}
-on a piece, so every link integrates in closed form in S: the linear link
+is integrated in one numpy pass, in closed form.  On an exponential kernel
+S = s e^{-rate x} on a piece, so every link integrates in S: the linear link
 directly, and both nonlinear links by one difference F(c) - F(c e^{-rate L})
 of a primitive, F = Ein(z) = int_0^z (1 - e^{-t})/t dt for the saturating-exp
 link and F = T(z) = int_0^z tanh(t)/t dt for the tanh link.  Box and zero
-kernels are piecewise constant.  Tabulated kernels take the 4-node
-Gauss-Legendre rule on every piece at once, with the difference from the
-3-node rule as error estimate; their excitation is affine on a piece, so the
-linear link is exact there.  One pass integrates the pieces once for the rows
-u, u^2 and |u|^3 of ``_weight_rows``.  The closed forms take each piece's
-start excitation and length (``_closed_form_integrals``), so the lockstep
-engine in ``_lockstep`` integrates its record of inter-event intervals with
-the same code and rows.  T and, beyond its series, Ein are read from
-cumulative tables of 4-node panels built at import (``_panel_table``), so
-no special-function library is needed.
+kernels are piecewise constant.  On a tabulated kernel S is affine on a
+piece, so the link's own primitive (x + e^{-x}, or log cosh x) is
+differenced between its ends (``_affine_integrals``).  Pieces too short for
+a difference take the 4-node Gauss-Legendre rule, exact to rounding there.
+One pass integrates the pieces once for the rows u, u^2 and |u|^3 of
+``_weight_rows``.  The closed forms take each piece's start excitation and
+length (``_closed_form_integrals``), so the lockstep engine in ``_lockstep``
+integrates its record of inter-event intervals with the same code and rows.
+T and, beyond its series, Ein are read from cumulative tables of 4-node
+panels built at import (``_panel_table``), so no special-function library
+is needed.
 """
 
 from __future__ import annotations
@@ -49,24 +50,16 @@ from .simulator import IntensityPath
 class InnovationSample:
     """One replication's innovation value with its two parts.
 
-    ``value == event_sum - compensator`` holds exactly by construction;
-    ``quad_error`` estimates the compensator quadrature error (zero when the
-    integral is closed form).
+    ``value == event_sum - compensator`` holds exactly by construction.
+    Every compensator is in closed form, so ``quad_error`` is always 0; the
+    field is kept for the benchmark's quadrature check.
     """
 
     value: float
     event_sum: float
     compensator: float
-    quad_error: float
+    quad_error: float = 0.0
     lambda_hat: float | None = None
-
-
-def _kink_ages(kernel) -> np.ndarray:
-    """Ages at which an event's term h(t - e) jumps or kinks: the grid nodes
-    of a tabulated kernel, otherwise 0 and the end of the support."""
-    if isinstance(kernel, TabulatedKernel):
-        return kernel._grid
-    return np.array([0.0, kernel.support_end])
 
 
 def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
@@ -75,25 +68,26 @@ def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
     support, also for events before it."""
     bp = np.asarray(w.breakpoints)
     lo, hi = bp[0], bp[-1]
-    knots = (np.asarray(path.events)[:, None] + _kink_ages(path.kernel)).ravel()
+    # an event's term h(t - e) jumps or kinks at the grid nodes of a
+    # tabulated kernel, otherwise at 0 and the end of the support
+    kernel = path.kernel
+    ages = kernel._grid if isinstance(kernel, TabulatedKernel) else [0.0, kernel.support_end]
+    knots = (np.asarray(path.events)[:, None] + ages).ravel()
     # sort and drop repeats by hand: np.unique (and np.union1d through it)
     # imports numpy.ma on first use, about 15 ms
     cuts = np.sort(np.concatenate([bp, knots[(knots > lo) & (knots < hi)]]))
     return cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
 
 
-# pieces with rate * length below _SHORT take the 4-node Gauss-Legendre rule
+# pieces with rate * length below _SHORT (on a tabulated kernel, |d| below
+# it, the change of S/s over the piece) take the 4-node Gauss-Legendre rule
 # on [-1, 1], whose truncation error there stays below 2e-15 relative; above
-# it the Ein and T differences cancel by at most a factor of about 10.  Nodes and
-# weights in closed form (numpy's leggauss would start LAPACK at import)
+# it the primitive differences cancel by at most a factor of about 10.  Nodes
+# and weights in closed form (numpy's leggauss would start LAPACK at import)
 _SHORT = 0.1
 _GL_INNER, _GL_OUTER = (math.sqrt(3 / 7 + q * 2 / 7 * math.sqrt(6 / 5)) for q in (-1, 1))
 _GL_NODES = np.array([-_GL_OUTER, -_GL_INNER, _GL_INNER, _GL_OUTER])
 _GL_WEIGHTS = (18 + math.sqrt(30) * np.array([-1, 1, 1, -1])) / 36
-# the 3-node rule: its difference from the 4-node one is the error estimate
-_GL3_NODES = math.sqrt(3 / 5) * np.array([-1.0, 0.0, 1.0])
-_GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 9
-_QUAD_NODES = np.concatenate([_GL_NODES, _GL3_NODES])
 # T(z) = int_0^z tanh(t)/t dt is tabulated at multiples of _T_STEP below
 # _T_FAR, one 4-node panel each (tanh's poles lie pi/2 off the axis, so a
 # panel's error is below 1e-16); beyond, T(z) = ln z + ln(4/pi) + gamma up to
@@ -167,6 +161,21 @@ def _ein(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nonlinear_shape(link):
+    """(s, g, F, M) of a nonlinear link phi = nu + s g(S/s): F(z) =
+    int_0^z g(t)/t dt for exponential pieces, and for affine ones the mean
+    M(y, d) of g over [y, y + d] from g's primitive, x + e^{-x} (taken from
+    the lower end, where no exponential overflows) or log cosh x =
+    x + log1p(e^{-2x}) - ln 2, as x >= 0 on nonnegative kernels."""
+    if isinstance(link, SaturatingExpLink):
+        return link.cap - link.nu, lambda x: -np.expm1(-x), _ein, lambda y, d: (
+            1.0 + np.exp(-np.minimum(y, y + d)) * np.expm1(-np.abs(d)) / np.abs(d)
+        )
+    return link.amplitude, np.tanh, _tanh_integral, lambda y, d: (
+        1.0 + (np.log1p(np.exp(-2.0 * (y + d))) - np.log1p(np.exp(-2.0 * y))) / d
+    )
+
+
 def _closed_form_integrals(
     kernel: ExponentialKernel, link, s_a: np.ndarray, length: np.ndarray
 ) -> np.ndarray:
@@ -178,12 +187,9 @@ def _closed_form_integrals(
         # int (nu + s_a e^{-rate u}) du
         return link.nu * length - s_a * np.expm1(-rate * length) / rate
     # int (nu + s g(S/s)) du = nu L + (s/rate) int_0^d g(c e^{-t}) dt with
-    # c = s_a/s and d = rate L: F(c) - F(c e^{-d}) with F(z) = int_0^z g(t)/t dt,
-    # or on short pieces, where that difference would cancel, the 4-node rule in t
-    if isinstance(link, SaturatingExpLink):
-        s, g, primitive = link.cap - link.nu, lambda y: -np.expm1(-y), _ein
-    else:
-        s, g, primitive = link.amplitude, np.tanh, _tanh_integral
+    # c = s_a/s and d = rate L: F(c) - F(c e^{-d}), or on short pieces, where
+    # that difference would cancel, the 4-node rule in t
+    s, g, primitive, _ = _nonlinear_shape(link)
     c, d = s_a / s, rate * length
     excess = np.empty_like(c)
     short = d < _SHORT
@@ -193,34 +199,45 @@ def _closed_form_integrals(
     return link.nu * length + s * excess / rate
 
 
-def _piece_integrals(
-    path: IntensityPath, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _affine_integrals(link, s_a: np.ndarray, s_b: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Integrals of lambda over pieces of the given lengths on which S runs
+    affinely from s_a = S(a+) to s_b = S(b-), as on a tabulated kernel."""
+    if isinstance(link, LinearLink):
+        return (link.nu + 0.5 * (s_a + s_b)) * length
+    # int (nu + s g(S/s)) = nu L + s L M(y, d) with y = s_a/s and
+    # d = (s_b - s_a)/s, or on short pieces, where M would cancel, the 4-node
+    # rule for the mean of g
+    s, g, _, mean_of_g = _nonlinear_shape(link)
+    y, d = s_a / s, (s_b - s_a) / s
+    mean = np.empty_like(y)
+    short = np.abs(d) < _SHORT
+    ys, ds = y[short, None], d[short, None]
+    mean[short] = _gauss4(lambda t: g(ys + ds * t), 0.0, np.ones(len(ys)))
+    mean[~short] = mean_of_g(y[~short], d[~short])
+    return link.nu * length + s * length * mean
+
+
+def _piece_integrals(path: IntensityPath, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Integrals of lambda over the pieces (a[i], b[i]), none containing a cut
-    of ``_segment_points`` in its interior, with their error estimates."""
+    of ``_segment_points`` in its interior."""
     kernel, link = path.kernel, path.link
     length = b - a
-    exact = np.zeros_like(length)
 
     if kernel.l1_norm() == 0 or isinstance(kernel, BoxKernel):
         # excitation constant on the piece interior: take it at the midpoint,
         # so that events and expiries sitting exactly on a cut cannot leak in
-        return link(path._excitation_at(0.5 * (a + b), "left")) * length, exact
+        return link(path._excitation_at(0.5 * (a + b), "left")) * length
 
     if isinstance(kernel, ExponentialKernel):
         s_a = path._excitation_at(a, "right")
-        return _closed_form_integrals(kernel, link, s_a, length), exact
+        return _closed_form_integrals(kernel, link, s_a, length)
 
     # tabulated: every event's age stays within one grid cell, so S is affine
-    # on the piece; read it at the quarter points
+    # on the piece; read it at the quarter points, inside the piece, and
+    # extrapolate to its ends
     quarters = np.array([a + 0.25 * length, b - 0.25 * length])
     q0, q1 = path._excitation_at(quarters.ravel(), "left").reshape(2, -1)
-    s = 0.5 * (q0 + q1) + (q1 - q0) * _QUAD_NODES[:, None]
-    # one row per node: the 4-node rule, then the 3-node one
-    f = np.asarray(link(s), dtype=float)
-    i4 = 0.5 * length * (_GL_WEIGHTS @ f[:4])
-    i3 = 0.5 * length * (_GL3_WEIGHTS @ f[4:])
-    return i4, np.abs(i4 - i3)
+    return _affine_integrals(link, 1.5 * q0 - 0.5 * q1, 1.5 * q1 - 0.5 * q0, length)
 
 
 def _weight_rows(values, moments: bool) -> np.ndarray:
@@ -230,28 +247,24 @@ def _weight_rows(values, moments: bool) -> np.ndarray:
     return np.stack([v, v * v, np.abs(v) ** 3.0]) if moments else v[None, :]
 
 
-def _weighted_integrals(
-    path: IntensityPath, w: TestFunction, rows: np.ndarray
-) -> tuple[np.ndarray, float]:
+def _weighted_integrals(path: IntensityPath, w: TestFunction, rows: np.ndarray) -> np.ndarray:
     """int r(t) lambda(t) dt for each row r of ``rows`` (the step function
-    with w's breakpoints and r as values), integrating the pieces once, and
-    the first row's error estimate; w's support must lie in the window."""
+    with w's breakpoints and r as values), integrating the pieces once; w's
+    support must lie in the window."""
     _check_support(w, (path.t_start, path.t_end))
     cuts = _segment_points(path, w)
     a, b = cuts[:-1], cuts[1:]
     idx = np.searchsorted(np.asarray(w.breakpoints), a, side="right") - 1
     keep = np.asarray(w.values)[idx] != 0.0
     a, b, idx = a[keep], b[keep], idx[keep]
-    vals, errs = _piece_integrals(path, a, b)
-    sums = np.array([np.sum(row[idx] * vals) for row in rows])
-    return sums, float(np.sum(np.abs(rows[0][idx]) * errs))
+    vals = _piece_integrals(path, a, b)
+    return np.array([np.sum(row[idx] * vals) for row in rows])
 
 
-def weighted_intensity_integral(path: IntensityPath, w: TestFunction) -> tuple[float, float]:
+def weighted_intensity_integral(path: IntensityPath, w: TestFunction) -> float:
     """int w(t) lambda(t) dt over the support of the step function w, which
     must lie in the simulated window of the path."""
-    sums, err = _weighted_integrals(path, w, _weight_rows(w.values, False))
-    return float(sums[0]), err
+    return float(_weighted_integrals(path, w, _weight_rows(w.values, False))[0])
 
 
 def _check_support(u: TestFunction, window: tuple) -> None:
@@ -269,30 +282,15 @@ def _event_sum(stream: EventStream, u: TestFunction) -> float:
     return float(np.sum(u(times))) if times.size else 0.0
 
 
-def first_chaos(
-    stream: EventStream,
-    path: IntensityPath,
-    u: TestFunction,
-    quad_tol: float | None = None,
-) -> InnovationSample:
-    """delta(u): event sum minus the pathwise compensator integral.
-
-    A quadrature error estimate above ``quad_tol`` is flagged with a warning,
-    not an exception.
-    """
+def first_chaos(stream: EventStream, path: IntensityPath, u: TestFunction) -> InnovationSample:
+    """delta(u): event sum minus the pathwise compensator integral."""
     _check_support(u, stream.window)
     event_sum = _event_sum(stream, u)
-    compensator, err = weighted_intensity_integral(path, u)
-    if quad_tol is not None and err > quad_tol:
-        warnings.warn(
-            f"compensator quadrature error estimate {err:.3e} exceeds {quad_tol:.1e}",
-            stacklevel=2,
-        )
+    compensator = weighted_intensity_integral(path, u)
     return InnovationSample(
         value=event_sum - compensator,
         event_sum=event_sum,
         compensator=compensator,
-        quad_error=err,
     )
 
 
@@ -339,7 +337,6 @@ def approx_first_chaos(
         value=event_sum - compensator,
         event_sum=event_sum,
         compensator=compensator,
-        quad_error=0.0,
         lambda_hat=lam,
     )
 
@@ -348,5 +345,5 @@ def intensity_moment_integrals(path: IntensityPath, u: TestFunction) -> tuple[fl
     """Pathwise (int u^2 lambda dt, int |u|^3 lambda dt), the Monte Carlo
     inputs of the resolvent-majorant bound; the pieces of u are integrated
     once for both."""
-    sums, _ = _weighted_integrals(path, u, _weight_rows(u.values, True))
+    sums = _weighted_integrals(path, u, _weight_rows(u.values, True))
     return float(sums[1]), float(sums[2])

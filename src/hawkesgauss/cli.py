@@ -70,16 +70,10 @@ def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config(path.read_text())
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.reps is not None:
-        cfg = replace(cfg, reps=args.reps)
-    if args.burn_in is not None:
-        cfg = replace(cfg, burn_in=args.burn_in)
-    if args.mode is not None:
-        cfg = replace(cfg, mode=args.mode)
-    return cfg
+    # the options that override [sim], where given
+    keys = ("seed", "reps", "burn_in", "mode")
+    overrides = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    return replace(parse_config(path.read_text()), **overrides)
 
 
 def _effective_burn_in(cfg: RunConfig, params) -> float:
@@ -194,9 +188,8 @@ def _cmd_ci(args) -> int:
     params = cfg.build_params()
     u = cfg.build_u(params)
     reports = evaluate_all(params, u, stationary=cfg.mode == "stationary")
-    exact = [r for r in reports if not r.approx]
-    bound = min(r.total for r in exact)
-    best = min(exact, key=lambda r: r.total)
+    best = min((r for r in reports if not r.approx), key=lambda r: r.total)
+    bound = best.total
     ci = confidence_interval(bound, args.beta)
     if not ci.feasible:
         print(

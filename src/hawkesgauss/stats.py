@@ -4,8 +4,9 @@ and the confidence-interval recipe driven by a Wasserstein bound.
 The normal CDF and quantile come from the standard library, ``math.erfc``
 and ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241), one element at a
 time; scipy is not imported, which spares a verification run about 0.2 s and
-17 MB (2-vCPU x86).  The W1 distances need Phi^-1(i/m) and A there for each
-sample size m, computed once per size by ``_w1_roots``.
+17 MB (2-vCPU x86).  KS, W1 and its bootstrap share Phi of a sample set's
+values (``_cdf_of``), and Phi^-1(i/m) and A there for each sample size m
+(``_w1_roots``), each computed once.
 """
 
 from __future__ import annotations
@@ -76,9 +77,18 @@ class SampleSet:
         return int(self.values.size)
 
 
-def _antideriv(x: np.ndarray) -> np.ndarray:
-    """A(x) = x*Phi(x) + pdf(x), an antiderivative of Phi."""
-    return x * normal_cdf(x) + normal_pdf(x)
+def _cdf_of(s) -> np.ndarray:
+    """Read-only Phi(s.values), evaluated on first use and kept in the sample
+    set's instance dict, which a frozen dataclass leaves writable."""
+    if "_cdf" not in vars(s):
+        vars(s)["_cdf"] = normal_cdf(s.values)
+        vars(s)["_cdf"].flags.writeable = False
+    return vars(s)["_cdf"]
+
+
+def _antideriv(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """A(x) = x*Phi(x) + pdf(x), an antiderivative of Phi, given cdf = Phi(x)."""
+    return x * cdf + normal_pdf(x)
 
 
 @lru_cache(maxsize=4)
@@ -86,7 +96,7 @@ def _w1_roots(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Phi^-1(i/m) for i = 1..m-1 and A there, the roots that
     ``_w1_rows`` takes for samples of size m."""
     roots = normal_quantile(np.arange(1, m) / m)
-    a_roots = _antideriv(roots)
+    a_roots = _antideriv(roots, normal_cdf(roots))
     roots.flags.writeable = a_roots.flags.writeable = False
     return roots, a_roots
 
@@ -116,14 +126,13 @@ def empirical_w1_to_normal(s: SampleSet) -> float:
     """Wasserstein-1 distance between the empirical distribution and the
     standard normal, computed exactly from the order statistics."""
     x = s.values[None, :]
-    return float(_w1_rows(x, _antideriv(x), *_w1_roots(s.count))[0])
+    return float(_w1_rows(x, _antideriv(x, _cdf_of(s)), *_w1_roots(s.count))[0])
 
 
 def kolmogorov_to_normal(s: SampleSet) -> float:
     """One-sample Kolmogorov-Smirnov statistic against the standard normal."""
-    x = s.values
-    m = x.size
-    cdf = normal_cdf(x)
+    m = s.count
+    cdf = _cdf_of(s)
     upper = np.arange(1, m + 1) / m - cdf
     lower = cdf - np.arange(0, m) / m
     return float(max(np.max(upper), np.max(lower)))
@@ -148,7 +157,7 @@ def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     m = s.count
     roots, a_roots = _w1_roots(m)
-    a_values = _antideriv(s.values)
+    a_values = _antideriv(s.values, _cdf_of(s))
     rng = np.random.default_rng(seed)
     rows = max(1, _BOOT_BLOCK // m)
     stats = np.empty(n_boot)

@@ -123,7 +123,7 @@ class TestSimulate:
         diffs = []
         for r in range(400):
             s, path = hg.simulate(hg.SimConfig(p, 30.0, seed=99, replication=r))
-            comp, _ = weighted_intensity_integral(path, ind)
+            comp = weighted_intensity_integral(path, ind)
             diffs.append(len(s) - comp)
         diffs = np.array(diffs)
         se = diffs.std(ddof=1) / math.sqrt(len(diffs))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hawkesgauss as hg
+from hawkesgauss import stats
 from hawkesgauss.errors import ParameterError, StatisticalError
 from hawkesgauss.stats import SampleSet, _w1_roots
 
@@ -132,6 +133,24 @@ class TestW1:
                 arr[0] = 0.0
         assert hg.empirical_w1_to_normal(s) == cold
         assert np.array_equal(roots, hg.normal_quantile(np.arange(1, 257) / 257))
+
+    def test_cdf_evaluated_once_and_cold_equals_warm(self, monkeypatch):
+        # KS, W1 and the bootstrap share one Phi(values) per sample set: on a
+        # set the others have used (warm) each reads as on a fresh one (cold)
+        x = np.random.default_rng(6).standard_normal(301)
+        distances = (
+            hg.kolmogorov_to_normal,
+            hg.empirical_w1_to_normal,
+            lambda s: hg.bootstrap_w1_se(s, n_boot=20, seed=1),
+        )
+        cold = [f(SampleSet(x)) for f in distances]
+        evaluated = []
+        real = stats.normal_cdf
+        monkeypatch.setattr(stats, "normal_cdf", lambda v: evaluated.append(np.size(v)) or real(v))
+        s = SampleSet(x)
+        warm = [f(s) for f in distances]
+        assert evaluated == [x.size]
+        assert warm == cold
 
     def test_bootstrap_se(self):
         rng = np.random.default_rng(9)

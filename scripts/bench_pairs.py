@@ -9,10 +9,10 @@ seeds and the head first on even ones, so that slow drifts of the machine's
 load hit both sides alike.  The file keeps every run's end-to-end metrics,
 each side's median and quartiles, and the number of seeds on which the head
 reads lower.
-``--trace 1`` runs of ``preset-saturating`` and ``analytic`` on the same
-seeds add per-layer metrics: the replication engine's time (booked as
-``experiments.self_s``, since tracing sees only public functions), the
-generators' (``simulator.self_s``), the bound, resolvent and distance layers.
+``--trace 1`` runs of every workload on the same seeds add per-layer
+metrics: the replication engine's time (booked as ``experiments.self_s``,
+since tracing sees only public functions), the public simulator functions'
+(``simulator.self_s``), the bound, resolvent and distance layers.
 The c07, c08 and c09 acceptance tests are timed once per checkout.
 
 Two fixed-work probes run in one fresh process per checkout and round,
@@ -28,9 +28,10 @@ checkout runs its own ``benchmarks/`` on its own ``src/``.  The second times
 and prints the seconds and the peak RSS.  Ten rounds, because the same
 ``preset-linear`` probe moves between about 22 and 40 ms per job within
 minutes on a loaded 2-core machine: the quartiles show that spread.  Last,
-one ``-X importtime`` run of each preset workload's set-up probe per
-checkout gives the cumulative import time of numpy, hawkesgauss, scipy and
-``scipy.special``.
+``PROBE_ROUNDS`` alternating ``-X importtime`` runs of each preset
+workload's set-up probe per checkout give the cumulative import time of
+numpy, hawkesgauss, scipy and ``scipy.special`` with the same spread, since
+a single run a side would carry the machine's load rather than the change.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from pathlib import Path
 SEEDS = range(101, 111)
 SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("preset-linear", "preset-saturating", "analytic")
-TRACED = ("preset-saturating", "analytic")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
 LAYER_METRICS = (
     "experiments.self_s",
@@ -142,19 +142,25 @@ def paired(base: Path, head: Path, workload: str, trace: int, names) -> dict:
             "runs": runs}
 
 
-def probe_pairs(base: Path, head: Path, code: str, args: list, fields: tuple, label: str) -> dict:
-    """PROBE_ROUNDS runs of the probe ``code`` with ``args`` in one fresh
-    process per checkout, alternating which runs first; the probe prints one
-    number per name in ``fields``.  Per field, each side's minimum, quartiles
-    and median over the rounds, and every run."""
+def printed_numbers(done, fields: tuple) -> dict:
+    """The numbers a probe process printed, one per name in ``fields``."""
+    return dict(zip(fields, (float(x) for x in done.stdout.split())))
+
+
+def probe_pairs(base: Path, head: Path, argv: list, fields: tuple, label: str,
+                parse=printed_numbers) -> dict:
+    """PROBE_ROUNDS runs of ``python argv`` in one fresh process per
+    checkout, alternating which runs first; ``parse(done, fields)`` reads one
+    number per name in ``fields`` from each finished process.  Per field,
+    each side's minimum, quartiles and median over the rounds, and every run."""
     runs = {"base": [], "head": []}
     for i in range(PROBE_ROUNDS):
         for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
             done = subprocess.run(
-                [sys.executable, "-c", code, *args], cwd=base if side == "base" else head,
+                [sys.executable, *argv], cwd=base if side == "base" else head,
                 capture_output=True, text=True, check=True,
             )
-            row = dict(zip(fields, (float(x) for x in done.stdout.split())))
+            row = parse(done, fields)
             runs[side].append(row)
             print(f"{label} {side}: " + ", ".join(f"{k}={v:.4g}" for k, v in row.items()),
                   file=sys.stderr)
@@ -165,35 +171,41 @@ def probe_pairs(base: Path, head: Path, code: str, args: list, fields: tuple, la
 
 def fixed_work(base: Path, head: Path) -> dict:
     """The PROBE fixed-work probe of each preset workload."""
-    return {w: probe_pairs(base, head, PROBE, [w, str(PROBE_JOBS)], ("ms_per_job", "peak_rss_mb"),
-                           f"probe {w}")
+    return {w: probe_pairs(base, head, ["-c", PROBE, w, str(PROBE_JOBS)],
+                           ("ms_per_job", "peak_rss_mb"), f"probe {w}")
             for w in PROBE_WORKLOADS}
 
 
 def tanh_probe(base: Path, head: Path) -> dict:
     """The TANH_PROBE fixed-work probe."""
     return {"reps": TANH_REPS,
-            **probe_pairs(base, head, TANH_PROBE, [str(TANH_REPS)], ("seconds", "peak_rss_mb"),
-                          "tanh probe")}
+            **probe_pairs(base, head, ["-c", TANH_PROBE, str(TANH_REPS)],
+                          ("seconds", "peak_rss_mb"), "tanh probe")}
 
 
-def import_times(checkout: Path, workload: str) -> dict:
-    """``-X importtime`` of one ``benchmarks/run.py --setup-probe`` process
-    in ``checkout``: the cumulative microseconds of every top-level import
-    summed, and of the modules in ``IMPORT_MODULES`` (None when not loaded)."""
-    cmd = [sys.executable, "-X", "importtime", "benchmarks/run.py", "--setup-probe",
-           "--workload", workload, "--seed", str(SEEDS[0])]
-    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+def cumulative_imports(done, fields: tuple) -> dict:
+    """The ``-X importtime`` report of a finished process: the cumulative
+    microseconds of every top-level import summed (``top_level_cum_us``),
+    and of each module in ``fields`` (0 when not loaded)."""
     cumulative = {}
     total = 0
     for line in done.stderr.splitlines():
-        fields = line.split("|")
+        cols = line.split("|")
         # "import time: self | cumulative | name", nested imports indented
-        if line.startswith("import time:") and fields[1].strip().isdigit():
-            cum, name = int(fields[1]), fields[2]
+        if line.startswith("import time:") and cols[1].strip().isdigit():
+            cum, name = int(cols[1]), cols[2]
             total += 0 if name.startswith("  ") else cum
             cumulative.setdefault(name.strip(), cum)
-    return {"top_level_cum_us": total, **{m: cumulative.get(m) for m in IMPORT_MODULES}}
+    return {m: total if m == "top_level_cum_us" else cumulative.get(m, 0) for m in fields}
+
+
+def import_times(base: Path, head: Path, workload: str) -> dict:
+    """``-X importtime`` of ``benchmarks/run.py --setup-probe`` for
+    ``workload``, PROBE_ROUNDS alternating runs per checkout."""
+    argv = ["-X", "importtime", "benchmarks/run.py", "--setup-probe",
+            "--workload", workload, "--seed", str(SEEDS[0])]
+    return probe_pairs(base, head, argv, ("top_level_cum_us", *IMPORT_MODULES),
+                       f"imports {workload}", parse=cumulative_imports)
 
 
 def time_acceptance(checkout: Path, criterion: str) -> dict:
@@ -255,15 +267,16 @@ def main(argv=None) -> int:
                                    f"one fresh process each, {PROBE_ROUNDS} alternating rounds",
                      "tanh_probe": f"{TANH_REPS} exponential x tanh replications, t_end 50, "
                                    f"with moments, after a warm-up, one fresh process each, "
-                                   f"{PROBE_ROUNDS} alternating rounds"},
+                                   f"{PROBE_ROUNDS} alternating rounds",
+                     "import_time": f"-X importtime of the set-up probe, one fresh process "
+                                    f"each, {PROBE_ROUNDS} alternating rounds"},
         "base": git_version(base),
         "head": git_version(head),
         "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},
-        "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in TRACED},
+        "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in WORKLOADS},
         "fixed_work": fixed_work(base, head),
         "tanh_probe": tanh_probe(base, head),
-        "import_time": {w: {"base": import_times(base, w), "head": import_times(head, w)}
-                        for w in PROBE_WORKLOADS},
+        "import_time": {w: import_times(base, head, w) for w in PROBE_WORKLOADS},
         "acceptance": {c: {"base": time_acceptance(base, c), "head": time_acceptance(head, c)}
                        for c in ACCEPTANCE},
     }

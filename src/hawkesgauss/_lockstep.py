@@ -3,9 +3,12 @@ u, u^2 and |u|^3 against lambda (``replication_sums``).
 
 Exponential kernels, with any link, thin all paths in lockstep as numpy
 vectors.  Each running path keeps its Markov state: the time t of its last
-candidate, its last event t_last and S(t_last+).  Step j draws candidate j of every path from the stream layout
-of ``simulate`` (uniforms 2j and 2j + 1 of ``rng_for(seed, k).random()``)
-and thins; it integrates nothing.  Between events lambda is deterministic,
+candidate, its last event t_last and S(t_last+).  Step j draws candidate j
+of every path from the stream layout of ``simulate`` (uniforms 2j and 2j + 1
+of ``rng_for(seed, k).random()``) and thins; it integrates nothing.  The
+uniforms come in blocks read through one Philox per chunk, whose key and
+counter are set per path and block (``simulator._stream_reader``), so no
+path builds a generator of its own.  Between events lambda is deterministic,
 so the compensator is fixed by the accepted events alone (Ogata 1981): each
 event, and each path's end at t_end, closes one inter-event interval
 (t_last, t], which goes to a record of at most ``_RECORD`` rows.  A full
@@ -27,13 +30,15 @@ from .chaos import (
 )
 from .model import ExponentialKernel, HawkesParams, TestFunction
 from .simulator import (
-    _ENVELOPE_SLACK, SimConfig, _block_size, _envelope_error, _rate_error, rng_for, simulate,
+    _ENVELOPE_SLACK, SimConfig, _block_size, _envelope_error, _rate_error, _stream_reader,
+    simulate,
 )
 
 
 #: most paths thinned together; longer runs go chunk by chunk, which keeps
-#: memory bounded at about 1.5 kB per path of a chunk (its generator and its
-#: block of uniforms) and leaves every replication's numbers unchanged
+#: memory bounded at under 1 kB per path of a full chunk (mostly its block of
+#: 64 uniforms, then its Philox key and running state) and leaves every
+#: replication's numbers unchanged
 _CHUNK = 8192
 
 #: closed inter-event intervals that a chunk integrates at a time (the rows
@@ -102,10 +107,11 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
     rate, jump = kernel.rate, kernel.jump
     n = event_sum.size
     record = _Intervals(kernel, link, u, pieces, t_end, event_sum, integrals)
-    gens = [rng_for(seed, first + k) for k in range(n)]
+    read = _stream_reader(seed, np.arange(first, first + n))
     block = _block_size(n)
     buf = np.empty((n, block))
     pos = block
+    words = 0  # uniforms that every running path has read
     rep = np.arange(n)  # chunk index of each running path
     t = np.full(n, -float(burn_in))
     t_last = t.copy()
@@ -114,8 +120,8 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
         if pos == block:
             # every running path has read its block: read the next ones into
             # the first rows
-            for row, k in zip(buf, rep.tolist()):
-                gens[k].random(out=row)
+            read(buf, rep.tolist(), words)
+            words += block
             row_of = np.arange(rep.size)
             pos = 0
         u_wait, u_accept = buf[row_of, pos], buf[row_of, pos + 1]

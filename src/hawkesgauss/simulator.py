@@ -14,8 +14,11 @@ serves the compensator in ``chaos``, so the compensator integrates the
 intensity that drew the events.
 
 Candidate j of replication k reads uniforms 2j and 2j + 1 of
-``rng_for(seed, k).random()`` (``_candidate_draws``); the lockstep engine in
-``_lockstep`` reads the same layout for many paths at once.
+``rng_for(seed, k).random()`` (``_candidate_draws``).  The lockstep engine in
+``_lockstep`` reads the same streams for many paths at once through
+``_stream_reader``: Philox is counter-based, so one Philox whose key
+(``_stream_keys``) and counter are set per block reads any block of any
+replication's stream, without a generator per replication.
 
 ``embedding_simulate`` is a small-scale cross-validator that runs the literal
 iterative construction driven by one shared planar Poisson field, truncated
@@ -69,12 +72,88 @@ def rng_for(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+#: numpy's ``SeedSequence`` hash constants (O'Neill's seed_seq_fe): the
+#: entropy mix's start and multiplier, the pool mix's two multipliers and
+#: ``generate_state``'s start and multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MASK32 = 0xFFFFFFFF
+
+
+def _stream_keys(seed: int, reps) -> np.ndarray:
+    """The (n, 2) uint64 Philox keys of ``rng_for(seed, k)`` for k in ``reps``,
+    that is ``SeedSequence(seed, spawn_key=(k,)).generate_state(2, np.uint64)``,
+    computed for all k at once.  The seed, below 2**64 and so at most two of
+    the pool's four words, fills and mixes the pool in 16 hashes before the
+    spawn key enters, so the pool of ``SeedSequence(seed)`` is shared by
+    every k.  Only the spawn key's words (one below 2**32, two from there to
+    2**64) and the output hash run per k, as uint32 arrays."""
+    reps = np.asarray(reps, dtype=np.uint64)
+    keys = np.empty((reps.size, 2), dtype=np.uint64)
+    shared = np.random.SeedSequence(int(seed)).pool
+    wide = reps >= 2**32
+    for sel, n_words in ((~wide, 1), (wide, 2)):
+        k = reps[sel]
+        if not k.size:
+            continue
+        words = ((k & _MASK32).astype(np.uint32), (k >> np.uint64(32)).astype(np.uint32))
+        pool = [np.full(k.size, p, dtype=np.uint32) for p in shared]
+        hash_const = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
+        for word in words[:n_words]:
+            for i in range(4):
+                value = word ^ np.uint32(hash_const)
+                hash_const = hash_const * _MULT_A & _MASK32
+                value *= np.uint32(hash_const)
+                value ^= value >> np.uint32(16)
+                mixed = pool[i] * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
+                pool[i] = mixed ^ (mixed >> np.uint32(16))
+        hash_const = _INIT_B
+        for i in range(4):
+            pool[i] ^= np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            pool[i] *= np.uint32(hash_const)
+            pool[i] ^= pool[i] >> np.uint32(16)
+        out = np.array(pool, dtype=np.uint64)
+        keys[sel] = (out[0::2] | out[1::2] << np.uint64(32)).T
+    return keys
+
+
+def _stream_reader(seed: int, reps):
+    """``read(rows, idx, words)``: row i of ``rows`` gets uniforms words,
+    words + 1, ... of ``rng_for(seed, reps[idx[i]]).random()``, one row per
+    entry of ``idx``.  One Philox serves every replication: a Philox4x64
+    block is 4 words, one uniform each, and a fresh Philox adds 1 to its
+    counter before it fills its buffer, so setting the key of replication k,
+    the counter to words // 4 and an empty buffer, then skipping words % 4
+    raw words, reads k's stream from word ``words`` on."""
+    keys = _stream_keys(seed, reps).tolist()
+    bits = np.random.Philox(0)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    state["buffer_pos"] = 4  # an empty buffer: the next word opens a block
+
+    def read(rows, idx, words):
+        state["state"]["counter"] = np.array([words // 4, 0, 0, 0], dtype=np.uint64)
+        skip = words % 4
+        for row, i in zip(rows, idx):
+            state["state"]["key"] = keys[i]
+            bits.state = state
+            if skip:
+                bits.random_raw(skip)
+            gen.random(out=row)
+
+    return read
+
+
 def _block_size(n_paths: int) -> int:
     """Uniforms read from a path's stream at a time when ``n_paths`` paths
-    are thinned together: about 2**14 over all paths (128 kB), 64 to 256 per
-    path, an even count so that no candidate's pair straddles two blocks.
-    The draws do not depend on it."""
-    return 2 * min(128, max(32, 2**13 // n_paths))
+    are thinned together: about 2**16 over all paths (512 kB), 64 to 512 per
+    path.  A multiple of 4, so that no candidate's pair straddles two blocks
+    and every block starts on a Philox block of 4 words, which
+    ``_stream_reader`` reads without skipping words.  The draws do not depend
+    on it."""
+    return 4 * min(128, max(16, 2**14 // n_paths))
 
 
 def _candidate_draws(rng: np.random.Generator, block: int):

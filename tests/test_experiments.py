@@ -229,9 +229,10 @@ class TestLockstepEngine:
                 assert np.array_equal(getattr(got, field), getattr(ref, field))
 
     def test_working_memory_is_bounded(self):
-        # 4096 saturating paths in one chunk peak at 7.4 MB of traced
-        # allocations (their generators, uniform blocks and the interval
-        # record); the bound is twice that
+        # 4096 saturating paths in one chunk peak at 4.0 MB of traced
+        # allocations (their uniform blocks and Philox keys, read through one
+        # shared Philox, and the interval record; 7.4 MB with a generator per
+        # path); the bound stays at twice the earlier peak
         p = PRESETS["saturating"]
         tracemalloc.start()
         try:

@@ -176,6 +176,31 @@ class TestStreamLayout:
         assert times[n - 1] <= self.T_END < times[n]
         np.testing.assert_allclose(self.layout_times([7, 2 * n - 5]), times, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    def test_stream_keys_are_seed_sequence_keys(self, seed):
+        # one spawn-key word below 2**32, two from there on
+        ks = [0, 1, 8191, 8192, 2**32 - 1, 2**32, 2**40]
+        want = np.array([
+            np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64)
+            for k in ks
+        ])
+        got = simulator._stream_keys(seed, ks)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, want)
+        for k, key in zip(ks[:3], got):
+            np.testing.assert_array_equal(rng_for(seed, k).bit_generator.state["state"]["key"], key)
+
+    @pytest.mark.parametrize("seed,rep", [(21, 4), (0, 2**32), (2**64 - 1, 8191)])
+    def test_shared_philox_reads_each_stream(self, seed, rep):
+        read = simulator._stream_reader(seed, [3, rep])
+        full = {k: rng_for(seed, k).random(300) for k in (3, rep)}
+        # word offsets on and off a Philox block of 4, the key switching per row
+        for words in (0, 2, 6, 10, 218):
+            rows = np.empty((3, 40))
+            read(rows, [1, 0, 1], words)
+            for row, k in zip(rows, (rep, 3, rep)):
+                np.testing.assert_array_equal(row, full[k][words:words + 40])
+
     @pytest.mark.parametrize("kind", sorted(KERNELS))
     def test_block_size_does_not_change_draws(self, kind, monkeypatch):
         p = hg.HawkesParams(KERNELS[kind], hg.SaturatingExpLink(1.0, 3.0))

@@ -2,6 +2,12 @@
 
     python3 scripts/bench_pairs.py --base ../parent --head . --out BENCH_5.json
 
+First, the head's ``scripts/digest.py`` runs once per checkout, in a fresh
+process with that checkout as working directory, so that each side digests
+the outputs of its own ``src/`` on the same case list.  The file keeps both
+sides' per-case sha256 digests and the list of cases whose digests differ,
+which is empty when the change leaves every output bit-identical.
+
 For every workload and each of the held-out seeds 101-110,
 ``benchmarks/run.py --trace 0`` runs once in each checkout at the
 benchmark's own run length, one after the other, with the base first on odd
@@ -47,6 +53,7 @@ import time
 from pathlib import Path
 
 SEEDS = range(101, 111)
+DIGEST = Path(__file__).resolve().parent / "digest.py"
 SECONDS = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("preset-linear", "preset-saturating", "analytic")
 END_TO_END = ("setup_s", "wall_s", "peak_rss_mb")
@@ -101,6 +108,20 @@ t0 = time.perf_counter()
 replicate_innovations(p, u, 50.0, 0.0, int(sys.argv[1]), seed=2, collect_moments=True)
 print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
+
+
+def digests(base: Path, head: Path) -> dict:
+    """``DIGEST`` run in each checkout: both sides' digests and the cases
+    whose digests differ, a case missing on one side counting as differing."""
+    out = {}
+    for side, checkout in (("base", base), ("head", head)):
+        done = subprocess.run([sys.executable, str(DIGEST)], cwd=checkout,
+                              capture_output=True, text=True, check=True)
+        out[side] = json.loads(done.stdout)
+    cases = list(out["head"]) + [c for c in out["base"] if c not in out["head"]]
+    changed = [c for c in cases if out["base"].get(c) != out["head"].get(c)]
+    print(f"digests: {len(cases)} cases, {len(changed)} changed", file=sys.stderr)
+    return {**out, "changed": changed}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -259,7 +280,9 @@ def main(argv=None) -> int:
 
     result = {
         "machine": machine(),
-        "protocol": {"command": "python3 benchmarks/run.py --workload W --seed S "
+        "protocol": {"digest": "the head's scripts/digest.py, once per checkout, in a fresh "
+                               "process with the checkout as working directory",
+                     "command": "python3 benchmarks/run.py --workload W --seed S "
                                 f"--seconds {SECONDS} --trace T",
                      "seeds": list(SEEDS),
                      "order": "alternating: base first on odd seeds, head first on even",
@@ -272,6 +295,7 @@ def main(argv=None) -> int:
                                     f"each, {PROBE_ROUNDS} alternating rounds"},
         "base": git_version(base),
         "head": git_version(head),
+        "digest": digests(base, head),
         "end_to_end": {w: paired(base, head, w, 0, END_TO_END) for w in WORKLOADS},
         "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in WORKLOADS},
         "fixed_work": fixed_work(base, head),

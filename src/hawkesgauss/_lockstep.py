@@ -6,19 +6,20 @@ vectors.  Each running path keeps its Markov state: the time t of its last
 candidate, its last event t_last and S(t_last+).  Step j draws candidate j
 of every path from the stream layout of ``simulate`` (uniforms 2j and 2j + 1
 of ``rng_for(seed, k).random()``) and thins; it integrates nothing.  The
-uniforms come in blocks read through one Philox per chunk, whose key and
-counter are set per path and block (``simulator._stream_reader``), so no
-path builds a generator of its own.  Between events lambda is deterministic,
-so the compensator is fixed by the accepted events alone (Ogata 1981): each
-event, and each path's end at t_end, closes one inter-event interval
-(t_last, t], which goes to a record of at most ``_RECORD`` rows.  A full
-record, and the record at a chunk's end, is integrated in one pass: the
-intervals are met with u's nonzero pieces and each weight row times lambda
-is integrated in the closed forms of ``chaos``, on the pieces cut at events
-as in ``chaos.first_chaos``.  Only running sums are kept, and memory grows
-with the number of paths thinned together, at most ``_CHUNK``, plus the
-fixed record.  Box and tabulated kernels run ``simulate`` path by path, and
-``chaos`` integrates each path's pieces in closed form too.
+uniforms come in blocks of ``simulator._BLOCK`` per path, read through one
+Philox per chunk, whose key and counter are set per path and block
+(``simulator._stream_reader``), so no path builds a generator of its own.
+Between events lambda is deterministic, so the compensator is fixed by the
+accepted events alone (Ogata 1981): each event, and each path's end at
+t_end, closes one inter-event interval (t_last, t], which goes to a record
+of at most ``_RECORD`` rows.  A full record, and the record at a chunk's
+end, is integrated in one pass: the intervals are met with u's nonzero
+pieces and each weight row times lambda is integrated in the closed forms of
+``chaos``, on the pieces cut at events as in ``chaos.first_chaos``.  Only
+running sums are kept, and memory grows with the number of paths thinned
+together, at most ``_CHUNK``, plus the fixed record.  Box and tabulated
+kernels run ``simulate`` path by path, and ``chaos`` integrates each path's
+pieces in closed form too.
 """
 
 from __future__ import annotations
@@ -30,16 +31,15 @@ from .chaos import (
 )
 from .model import ExponentialKernel, HawkesParams, TestFunction
 from .simulator import (
-    _ENVELOPE_SLACK, SimConfig, _block_size, _envelope_error, _rate_error, _stream_reader,
-    simulate,
+    _BLOCK, _ENVELOPE_SLACK, SimConfig, _envelope_error, _rate_error, _stream_reader, simulate,
 )
 
 
 #: most paths thinned together; longer runs go chunk by chunk, which keeps
-#: memory bounded at under 1 kB per path of a full chunk (mostly its block of
-#: 64 uniforms, then its Philox key and running state) and leaves every
-#: replication's numbers unchanged
-_CHUNK = 8192
+#: memory bounded at about 2.1 kB per path of a full chunk (its block of
+#: ``_BLOCK`` = 256 uniforms, 8 MiB over the chunk, then its Philox key and
+#: running state) and leaves every replication's numbers unchanged
+_CHUNK = 4096
 
 #: closed inter-event intervals that a chunk integrates at a time (the rows
 #: of ``_Intervals``); a fixed cap keeps the record small however many paths
@@ -108,20 +108,19 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
     n = event_sum.size
     record = _Intervals(kernel, link, u, pieces, t_end, event_sum, integrals)
     read = _stream_reader(seed, np.arange(first, first + n))
-    block = _block_size(n)
-    buf = np.empty((n, block))
-    pos = block
+    buf = np.empty((n, _BLOCK))
+    pos = _BLOCK
     words = 0  # uniforms that every running path has read
     rep = np.arange(n)  # chunk index of each running path
     t = np.full(n, -float(burn_in))
     t_last = t.copy()
     s_last = np.zeros(n)
     while rep.size:
-        if pos == block:
+        if pos == _BLOCK:
             # every running path has read its block: read the next ones into
             # the first rows
             read(buf, rep.tolist(), words)
-            words += block
+            words += _BLOCK
             row_of = np.arange(rep.size)
             pos = 0
         u_wait, u_accept = buf[row_of, pos], buf[row_of, pos + 1]

@@ -214,35 +214,6 @@ def resolvent(
     )
 
 
-def picard_resolvent(
-    kernel: Kernel,
-    alpha: float,
-    step: float,
-    horizon: float,
-    tol: float = RESOLVENT_TOL,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Reference solver: literal Picard iteration psi <- alpha*h + alpha*h*psi.
-
-    Geometric convergence at rate alpha*mu; kept as an independent oracle for
-    the direct solver (quadratic in grid size per iteration, so use coarse
-    grids).
-    """
-    am = alpha * kernel.l1_norm()
-    if am >= 1:
-        raise StabilityError(f"alpha*mu must be < 1, got {am}")
-    n = int(round(horizon / step)) + 1
-    grid = np.arange(n) * step
-    ah = alpha * _grid_samples(kernel, grid, step)
-    psi = np.zeros(n)
-    for _ in range(max_iter):
-        nxt = ah + _conv_trapezoid(ah, psi, step)
-        if float(np.max(np.abs(nxt - psi))) < tol:
-            return nxt
-        psi = nxt
-    raise NumericError(f"Picard iteration did not reach {tol:.1e} in {max_iter} steps")
-
-
 def cross_energy(f: TestFunction, g: TestFunction, psi: ResolventTable) -> float:
     """Double integral of |f(t)| * psi(s - t) * |g(s)| over s > t.
 

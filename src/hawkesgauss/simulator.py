@@ -14,11 +14,13 @@ serves the compensator in ``chaos``, so the compensator integrates the
 intensity that drew the events.
 
 Candidate j of replication k reads uniforms 2j and 2j + 1 of
-``rng_for(seed, k).random()`` (``_candidate_draws``).  The lockstep engine in
-``_lockstep`` reads the same streams for many paths at once through
-``_stream_reader``: Philox is counter-based, so one Philox whose key
-(``_stream_keys``) and counter are set per block reads any block of any
-replication's stream, without a generator per replication.
+``rng_for(seed, k).random()`` (``_candidate_draws``), read ``_BLOCK`` at a
+time.  The lockstep engine in ``_lockstep`` reads the same streams for many
+paths at once, in blocks of the same size, through ``_stream_reader``:
+Philox is counter-based, so one Philox whose key (``_stream_keys``) and
+counter are set per block reads any block of any replication's stream,
+without a generator per replication.  How the stream is split into blocks
+does not change the draws.
 
 ``embedding_simulate`` is a small-scale cross-validator that runs the literal
 iterative construction driven by one shared planar Poisson field, truncated
@@ -146,22 +148,20 @@ def _stream_reader(seed: int, reps):
     return read
 
 
-def _block_size(n_paths: int) -> int:
-    """Uniforms read from a path's stream at a time when ``n_paths`` paths
-    are thinned together: about 2**16 over all paths (512 kB), 64 to 512 per
-    path.  A multiple of 4, so that no candidate's pair straddles two blocks
-    and every block starts on a Philox block of 4 words, which
-    ``_stream_reader`` reads without skipping words.  The draws do not depend
-    on it."""
-    return 4 * min(128, max(16, 2**14 // n_paths))
+#: uniforms read from a path's stream at a time, by ``simulate`` and by the
+#: lockstep engine alike.  A multiple of 4, so that no candidate's pair
+#: straddles two blocks and every block starts on a Philox block of 4 words,
+#: which ``_stream_reader`` reads without skipping words.  The draws do not
+#: depend on it.
+_BLOCK = 256
 
 
-def _candidate_draws(rng: np.random.Generator, block: int):
+def _candidate_draws(rng: np.random.Generator):
     """The thinning stream layout: candidate j of a path reads uniforms 2j
     (its waiting time, -log1p(-U) / rate) and 2j + 1 (its acceptance test)
-    of ``rng.random()``, taken ``block`` at a time."""
+    of ``rng.random()``, taken ``_BLOCK`` at a time."""
     while True:
-        draws = iter(rng.random(block).tolist())
+        draws = iter(rng.random(_BLOCK).tolist())
         yield from zip(draws, draws)
 
 
@@ -249,7 +249,7 @@ def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
     kernel, link = params.kernel, params.link
     majorant = _majorant(kernel)
 
-    draws = _candidate_draws(rng_for(cfg.seed, cfg.replication), _block_size(1))
+    draws = _candidate_draws(rng_for(cfg.seed, cfg.replication))
     t_start = -cfg.burn_in
     t = t_start
     events: list[float] = []

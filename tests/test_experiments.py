@@ -162,17 +162,18 @@ ORACLE_FIELDS = ("delta", "event_sum", "compensator", "u2_lambda", "u3_lambda", 
                  "quad_err")
 
 
-def single_path_oracle(params, u, t_end, burn_in, n, seed):
-    """One row per field of ORACLE_FIELDS over n replications, each path from
-    ``simulate`` through the single-path functions of ``chaos``."""
-    ref = np.empty((7, n))
-    for k in range(n):
+def single_path_oracle(params, u, t_end, burn_in, reps, seed):
+    """One row per field of ORACLE_FIELDS, one column per replication in
+    ``reps``, each path from ``simulate`` through the single-path functions
+    of ``chaos``."""
+    ref = np.empty((7, len(reps)))
+    for col, k in enumerate(reps):
         stream, path = hg.simulate(hg.SimConfig(params, t_end, burn_in, seed, k))
         s = first_chaos(stream, path, u)
-        ref[:3, k] = s.value, s.event_sum, s.compensator
-        ref[3:5, k] = intensity_moment_integrals(path, u)
-        ref[5, k] = approx_first_chaos(stream, u, params).value
-        ref[6, k] = s.quad_error
+        ref[:3, col] = s.value, s.event_sum, s.compensator
+        ref[3:5, col] = intensity_moment_integrals(path, u)
+        ref[5, col] = approx_first_chaos(stream, u, params).value
+        ref[6, col] = s.quad_error
     return ref
 
 
@@ -180,7 +181,7 @@ class TestLockstepEngine:
     @pytest.mark.parametrize("name,params,u,t_end,burn_in", lockstep_cases())
     def test_matches_simulate_per_path(self, name, params, u, t_end, burn_in, monkeypatch):
         n, seed = 25, 31
-        ref = single_path_oracle(params, u, t_end, burn_in, n, seed)
+        ref = single_path_oracle(params, u, t_end, burn_in, range(n), seed)
 
         def per_path(*args, **kwargs):
             raise AssertionError("the batch path must not call simulate")
@@ -203,7 +204,7 @@ class TestLockstepEngine:
         # every case takes the per-path route, the exponential kernel too
         monkeypatch.setattr(_lockstep, "_thins_in_lockstep", lambda kernel: False)
         n, seed = 12, 31
-        ref = single_path_oracle(params, u, t_end, burn_in, n, seed)
+        ref = single_path_oracle(params, u, t_end, burn_in, range(n), seed)
         reps = replicate_innovations(params, u, t_end, burn_in, n, seed, collect_moments=moments)
         for field, r in zip(ORACLE_FIELDS, ref):
             got = getattr(reps, field)
@@ -215,24 +216,36 @@ class TestLockstepEngine:
 
     @pytest.mark.parametrize(
         "knob,values",
-        [("_block_size", (2, 10, 500)), ("_CHUNK", (1, 7, 40)), ("_RECORD", (1, 7, 40))],
+        [("_BLOCK", (2, 10, 500)), ("_CHUNK", (1, 7, 40)), ("_RECORD", (1, 7, 40))],
     )
     def test_blocks_and_chunks_do_not_change_numbers(self, knob, values, monkeypatch):
         name, params, u, t_end, burn_in = lockstep_cases()[2]
         ref = replicate_innovations(params, u, t_end, burn_in, 40, seed=5, collect_moments=True)
         for value in values:
-            if knob == "_block_size":
-                value = lambda n_paths, b=value: b  # noqa: E731
             monkeypatch.setattr(_lockstep, knob, value)
             got = replicate_innovations(params, u, t_end, burn_in, 40, seed=5, collect_moments=True)
             for field in ("delta", "event_sum", "compensator", "u2_lambda", "u3_lambda"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field))
 
+    def test_real_chunk_boundary_matches_simulate(self):
+        # the real _BLOCK and _CHUNK: replication _CHUNK opens a second chunk
+        # of one path
+        p = PRESETS["linear"]
+        n, seed = _lockstep._CHUNK + 1, 5
+        reps = replicate_innovations(p.params, p.u, p.t_end, p.burn_in, n, seed,
+                                     collect_moments=True)
+        ks = [0, _lockstep._CHUNK - 1, _lockstep._CHUNK]
+        ref = single_path_oracle(p.params, p.u, p.t_end, p.burn_in, ks, seed)
+        for field, r in zip(ORACLE_FIELDS[:6], ref):
+            np.testing.assert_allclose(
+                getattr(reps, field)[ks], r, rtol=1e-12, atol=1e-12 * np.max(np.abs(r))
+            )
+
     def test_working_memory_is_bounded(self):
-        # 4096 saturating paths in one chunk peak at 4.0 MB of traced
-        # allocations (their uniform blocks and Philox keys, read through one
-        # shared Philox, and the interval record; 7.4 MB with a generator per
-        # path); the bound stays at twice the earlier peak
+        # 4096 saturating paths in one chunk peak at 11.1 MB of traced
+        # allocations: their uniform blocks (8 MiB at _BLOCK = 256 a path),
+        # their Philox keys, read through one shared Philox, and the interval
+        # record
         p = PRESETS["saturating"]
         tracemalloc.start()
         try:

@@ -9,12 +9,36 @@ import pytest
 import hawkesgauss as hg
 from hawkesgauss.errors import HorizonError, NumericError, StabilityError
 from hawkesgauss.kernels import (
+    RESOLVENT_TOL,
+    _conv_trapezoid,
     _fft_convolve,
     _grid_samples,
     _series_inverse,
     default_horizon,
-    picard_resolvent,
 )
+
+
+def picard_resolvent(kernel, alpha, step, horizon, tol=RESOLVENT_TOL, max_iter=200):
+    """Reference solver: literal Picard iteration psi <- alpha*h + alpha*h*psi
+    on the resolvent's grid and trapezoid rule.
+
+    Geometric convergence at rate alpha*mu; an independent oracle for the
+    direct solver (quadratic in grid size per iteration, so use coarse
+    grids).
+    """
+    am = alpha * kernel.l1_norm()
+    if am >= 1:
+        raise StabilityError(f"alpha*mu must be < 1, got {am}")
+    n = int(round(horizon / step)) + 1
+    grid = np.arange(n) * step
+    ah = alpha * _grid_samples(kernel, grid, step)
+    psi = np.zeros(n)
+    for _ in range(max_iter):
+        nxt = ah + _conv_trapezoid(ah, psi, step)
+        if float(np.max(np.abs(nxt - psi))) < tol:
+            return nxt
+        psi = nxt
+    raise NumericError(f"Picard iteration did not reach {tol:.1e} in {max_iter} steps")
 
 
 def exp_resolvent_exact(rate, mass, alpha, t):

@@ -207,7 +207,7 @@ class TestStreamLayout:
         cfg = hg.SimConfig(p, 40.0, burn_in=5.0, seed=8, replication=3)
         ref, _ = hg.simulate(cfg)
         for block in (2, 6, 1000):
-            monkeypatch.setattr(simulator, "_block_size", lambda n_paths, b=block: b)
+            monkeypatch.setattr(simulator, "_BLOCK", block)
             stream, _ = hg.simulate(cfg)
             assert stream.times == ref.times
 

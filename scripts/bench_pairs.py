@@ -24,17 +24,19 @@ The c07, c08 and c09 acceptance tests are timed once per checkout.
 Two fixed-work probes run in one fresh process per checkout and round,
 ``PROBE_ROUNDS`` rounds with the side that runs first alternating, and report
 each side's runs with their minimum, quartiles and median.  The first runs
-50 jobs of each preset workload after one warm-up, keeping no job's output,
-and prints the median ms per job and the process's peak RSS (``ru_maxrss``).
-Unlike ``peak_rss_mb`` of a timed run, which grows with the number of jobs
-whose summaries the run keeps, it measures the library's own memory.  Each
-checkout runs its own ``benchmarks/`` on its own ``src/``.  The second times
-``TANH_REPS`` replications of an exponential kernel with the tanh link
-(t_end 50, with moments), which no benchmark workload runs, after a warm-up,
-and prints the seconds and the peak RSS.  Ten rounds, because the same
+50 jobs of each of ``PROBE_WORKLOADS`` (the three workloads) after one
+warm-up, keeping no job's output, and prints the median ms per job and the
+process's peak RSS (``ru_maxrss``).  Each side does the same jobs, so unlike
+``wall_s`` of a timed run, whose job count follows the speed of the code, it
+carries no job-count bias; and unlike ``peak_rss_mb`` of a timed run, which
+grows with the number of jobs whose summaries the run keeps, it measures the
+library's own memory.  Each checkout runs its own ``benchmarks/`` on its own
+``src/``.  The second times ``TANH_REPS`` replications of an exponential
+kernel with the tanh link (t_end 50, with moments), which no benchmark
+workload runs, after a warm-up, and prints the seconds and the peak RSS.  Ten rounds, because the same
 ``preset-linear`` probe moves between about 22 and 40 ms per job within
 minutes on a loaded 2-core machine: the quartiles show that spread.  Last,
-``PROBE_ROUNDS`` alternating ``-X importtime`` runs of each preset
+``PROBE_ROUNDS`` alternating ``-X importtime`` runs of each probe
 workload's set-up probe per checkout give the cumulative import time of
 numpy, hawkesgauss, scipy and ``scipy.special`` with the same spread, since
 a single run a side would carry the machine's load rather than the change.
@@ -68,7 +70,7 @@ LAYER_METRICS = (
     "stats.w1.ms_per_call",
     "trace.wall_s",
 )
-PROBE_WORKLOADS = ("preset-linear", "preset-saturating")
+PROBE_WORKLOADS = WORKLOADS
 ACCEPTANCE = ("c07", "c08", "c09")
 #: modules whose cumulative import time ``import_times`` reports
 IMPORT_MODULES = ("numpy", "hawkesgauss", "scipy", "scipy.special")
@@ -191,7 +193,7 @@ def probe_pairs(base: Path, head: Path, argv: list, fields: tuple, label: str,
 
 
 def fixed_work(base: Path, head: Path) -> dict:
-    """The PROBE fixed-work probe of each preset workload."""
+    """The PROBE fixed-work probe of each of ``PROBE_WORKLOADS``."""
     return {w: probe_pairs(base, head, ["-c", PROBE, w, str(PROBE_JOBS)],
                            ("ms_per_job", "peak_rss_mb"), f"probe {w}")
             for w in PROBE_WORKLOADS}
@@ -286,8 +288,9 @@ def main(argv=None) -> int:
                                 f"--seconds {SECONDS} --trace T",
                      "seeds": list(SEEDS),
                      "order": "alternating: base first on odd seeds, head first on even",
-                     "fixed_work": f"{PROBE_JOBS} jobs per preset workload after one warm-up, "
-                                   f"one fresh process each, {PROBE_ROUNDS} alternating rounds",
+                     "fixed_work": f"{PROBE_JOBS} jobs of each of {', '.join(PROBE_WORKLOADS)} "
+                                   f"after one warm-up, one fresh process each, "
+                                   f"{PROBE_ROUNDS} alternating rounds",
                      "tanh_probe": f"{TANH_REPS} exponential x tanh replications, t_end 50, "
                                    f"with moments, after a warm-up, one fresh process each, "
                                    f"{PROBE_ROUNDS} alternating rounds",

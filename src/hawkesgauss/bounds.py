@@ -167,21 +167,30 @@ def _report(
     family: Family, rate0: float, am: float, n: Mapping, h2=None, terms=None
 ) -> BoundReport:
     """``family``'s report; ``terms`` is ``_terms`` of its base when the
-    caller has it already."""
+    caller has it already.  The report's eight fields are written straight
+    into its instance dict, which a frozen dataclass leaves writable: the
+    generated ``__init__`` costs more than the formulas on these scalars."""
     if terms is None:
         terms = _terms(family.base, rate0, am, n, h2)
-    keys = ("nu", "mu") if family.requires_linear else ("phi0", "alpha_mu")
-    inputs = dict(zip(keys, (rate0, am)))
+    if family.requires_linear:
+        inputs = {"nu": rate0, "mu": am}
+    else:
+        inputs = {"phi0": rate0, "alpha_mu": am}
     if family.requires_l2:
         inputs["h_l2"] = h2
-    return BoundReport(
+    inputs.update(n)
+    report = object.__new__(BoundReport)
+    vars(report).update(
         name=family.name,
-        terms=tuple((label, terms[label]) for label in family.labels),
+        terms=tuple([(label, terms[label]) for label in family.labels]),
         requires_linear=family.requires_linear,
         requires_l2=family.requires_l2,
         stationary_only=family.stationary_only,
-        inputs={**inputs, **n},
+        inputs=inputs,
+        mc_terms=(),
+        vacuity_threshold=VACUITY_THRESHOLD,
     )
+    return report
 
 
 def _nonlinear_report(name: str, p: HawkesParams, u: TestFunction) -> BoundReport:
@@ -246,14 +255,21 @@ def bound_linear_spectral_approx(nu: float, k: Kernel, u: TestFunction) -> Bound
 def compare_conditions(nu: float, k: Kernel, u: TestFunction) -> dict:
     """Sufficient conditions under which the spectral bounds improve the
     direct linear ones: cond_i certifies linear_spectral <= linear, cond_ii
-    certifies the same for the constant-rate variants."""
+    certifies the same for the constant-rate variants.  Both compare ratios
+    of u's norms, so u must be nonzero and those ratios finite floats."""
     mu = l1_norm(k)
     _check_linear(nu, mu)
     h2 = l2_norm(k)
     n = u.norms
-    r_u = n["u_sq_l2"] ** 2 / n["u_l2"] ** 4
+    try:
+        r_u = n["u_sq_l2"] ** 2 / n["u_l2"] ** 4
+        r_u1 = n["u_l2"] ** 2 / n["u_l1"] ** 2
+    except (ZeroDivisionError, OverflowError):
+        raise ParameterError(
+            f"compare_conditions needs u's norm ratios as finite floats, got "
+            f"||u||_1 = {n['u_l1']!r} and ||u||_2 = {n['u_l2']!r}"
+        ) from None
     r_h = (h2 / mu) ** 2 if mu > 0 else math.inf
-    r_u1 = n["u_l2"] ** 2 / n["u_l1"] ** 2
     scale = 1.0 / (4.0 * (1.0 - mu))
     cond_i = nu >= scale * min(r_u, r_h)
     cond_ii = nu >= scale * max(min(r_u, r_h), min(r_u1, r_h))

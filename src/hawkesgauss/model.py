@@ -282,10 +282,9 @@ class TestFunction:
             raise ParameterError("need exactly one more breakpoint than values")
         if len(vals) == 0:
             raise ParameterError("need at least one interval")
-        arr = np.asarray(bp)
-        if not np.all(np.isfinite(arr)) or not np.all(np.isfinite(np.asarray(vals))):
+        if not all(map(math.isfinite, bp)) or not all(map(math.isfinite, vals)):
             raise ParameterError("breakpoints and values must be finite")
-        if not np.all(np.diff(arr) > 0):
+        if not all(map(float.__lt__, bp, bp[1:])):
             raise ParameterError("breakpoints must be strictly ascending")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
@@ -311,17 +310,22 @@ class TestFunction:
     def norms(self) -> MappingProxyType:
         """Read-only record of the norms the bounds read, computed once:
         ``u_l1``, ``u_l2``, ``u_l3`` = ||u||_p and ``u_sq_l2``, ``u_sq_l1`` =
-        ||u^2||_p, each bit for bit what ``lp_norm`` returns."""
-        a = np.abs(np.asarray(self.values))
-        sq = a * a
-        sums = np.sum(np.stack((a, sq, a**3, sq**2, sq)) * self.widths, axis=1)
-        roots = (1.0, 0.5, 1.0 / 3.0, 0.5, 1.0)
-        keys = ("u_l1", "u_l2", "u_l3", "u_sq_l2", "u_sq_l1")
-        return MappingProxyType({k: float(s**r) for k, s, r in zip(keys, sums, roots)})
+        ||u^2||_p, each bit for bit what ``lp_norm`` returns.  The products and
+        roots are Python float arithmetic, which rounds as numpy does; the
+        cube and the sums stay numpy's, whose power and pairwise summation
+        round differently from Python's."""
+        bp = self.breakpoints
+        widths = list(map(float.__sub__, bp[1:], bp))
+        a = list(map(abs, self.values))
+        sq = [x * x for x in a]
+        rows = np.array((a, sq, np.array(a) ** 3, [x * x for x in sq], sq))
+        l1, l2sq, l3cube, sq_l2sq, sq_l1 = (rows * widths).sum(axis=1).tolist()
+        return MappingProxyType({"u_l1": l1, "u_l2": l2sq**0.5, "u_l3": l3cube ** (1.0 / 3.0),
+                                 "u_sq_l2": sq_l2sq**0.5, "u_sq_l1": sq_l1})
 
     def lp_norm(self, p: float) -> float:
-        if p < 1:
-            raise ParameterError(f"p must be >= 1, got {p}")
+        if not 1 <= p < math.inf:
+            raise ParameterError(f"p must be in [1, inf), got {p}")
         vals = np.abs(np.asarray(self.values))
         return float(np.sum(vals**p * self.widths) ** (1.0 / p))
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,14 @@ class TestCompareConditions:
                 assert lo <= hi * (1 + RTOL) + 1e-12
         assert checked_i > 100 and checked_ii > 100
 
+    @pytest.mark.parametrize("values", [(0.0,), (0.0, 0.0), (1e-200, 0.0), (1e100, 1.0)])
+    def test_degenerate_u_is_a_parameter_error(self, values):
+        # the conditions compare ratios of u's norms: 0/0 for u = 0, and
+        # 0/0 or an overflow where a power of a norm leaves the floats
+        u = hg.TestFunction(tuple(float(i) for i in range(len(values) + 1)), values)
+        with pytest.raises(ParameterError, match="norm ratios"):
+            hg.compare_conditions(1.0, hg.ExponentialKernel(1.0, 0.5), u)
+
 
 class TestIntensityBracket:
     def test_reference(self):
@@ -332,6 +341,37 @@ class TestReportPlumbing:
                 flags = (rep.requires_linear, rep.requires_l2, rep.stationary_only, rep.approx)
                 assert flags == expected[r.name]
             assert (direct.name, direct.terms, direct.inputs) == (r.name, r.terms, r.inputs)
+
+    def test_reports_are_ordinary_frozen_dataclasses(self):
+        # every closed-form report is built without the generated __init__,
+        # so check it is indistinguishable from one that went through it
+        u = hg.TestFunction((0.0, 1.0, 2.5), (0.7, -0.3))
+        reports = []
+        for kernel in (hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(2.0, 0.4)):
+            lin = hg.HawkesParams(kernel, hg.LinearLink(1.5))
+            for stationary in (True, False):
+                reports += hg.evaluate_all(lin, u, stationary)
+            for name in FAMILIES:
+                entry = getattr(hg, f"bound_{name}")
+                reports.append(entry(lin, u) if name.startswith("nonlinear") else entry(1.5, kernel, u))
+        nonlin = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 3.0))
+        reports += hg.evaluate_all(nonlin, u, stationary=True)
+        psi = hg.resolvent(nonlin.kernel, 1.0, step=1e-2, horizon=5.0)
+        reports.append(hg.bound_general_resolvent(nonlin, u, psi, [0.9] * 100, [0.2] * 100))
+        assert len(reports) == 6 + 2 + 6 + 6 + 2 + 6 + 2 + 1
+        for r in reports:
+            rebuilt = hg.BoundReport(**{f.name: getattr(r, f.name) for f in fields(r)})
+            assert r == rebuilt and rebuilt == r
+            assert repr(r) == repr(rebuilt)
+            # the input echo lists the rates first and u's norms last
+            assert list(r.inputs)[:2] in (["nu", "mu"], ["phi0", "alpha_mu"])
+            assert list(r.inputs)[-5:] == list(u.norms)
+            assert replace(r) == r
+            assert replace(r, vacuity_threshold=-1.0).vacuous
+            with pytest.raises(FrozenInstanceError):
+                r.name = "other"
+            with pytest.raises(FrozenInstanceError):
+                r.total_cache = 0.0
 
 
 def frozen_u_norms(u):

@@ -209,6 +209,23 @@ class TestTestFunction:
             hg.TestFunction((0.0, 1.0), (1.0, 2.0))
         with pytest.raises(ParameterError):
             hg.TestFunction((0.0, 1.0), ())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError, match="must be finite"):
+                hg.TestFunction((0.0, bad, 3.0), (1.0, 2.0))
+            with pytest.raises(ParameterError, match="must be finite"):
+                hg.TestFunction((0.0, 1.0, 3.0), (1.0, bad))
+        for descending in ((1.0, 0.0), (0.0, 2.0, 1.0), (0.0, 1.0, 1.0)):
+            with pytest.raises(ParameterError, match="strictly ascending"):
+                hg.TestFunction(descending, (1.0,) * (len(descending) - 1))
+        # the widest finite support: its width overflows to inf, but the
+        # breakpoints themselves are finite and ascending
+        wide = hg.TestFunction((-1e308, 1e308), (1.0,))
+        assert wide.support == (-1e308, 1e308)
+        u = hg.TestFunction((0.0, 1.0), (0.5,))
+        for p in (0.5, math.inf, math.nan):
+            with pytest.raises(ParameterError):
+                u.lp_norm(p)
+        assert u.lp_norm(1) == 0.5
 
 
 class TestUnitVarianceIndicator:

@@ -14,7 +14,10 @@ The cases: ``replicate_innovations`` on the five presets, with and without
 moments, at three (replications, seed) pairs, at 4 097 ``linear``
 replications, and on an exponential x tanh and a tabulated x saturating
 model; ``simulate`` with ``first_chaos`` and ``intensity_moment_integrals``
-on the exponential, box and tabulated kernels under each link; the W1, KS
+on the exponential, box and tabulated kernels under each link; every
+iterate's times of ``embedding_simulate`` (8 iterates) on the same kernels
+and links, plus the iterate and check at which a run on the tabulated kernel
+and linear link at mark cap 4 raises ``TruncationError``; the W1, KS
 and bootstrap standard errors of ``run_bound_vs_empirical`` on the five
 presets; ``evaluate_all`` and ``compare_conditions`` on 200 random linear
 cases drawn as criterion c07 draws them; and the c05 resolvent table.
@@ -50,6 +53,8 @@ LINKS = {
     "saturating": hg.SaturatingExpLink(1.0, 3.0),
     "tanh": hg.TanhLink(0.5, 0.3),
 }
+#: mark cap of the embedding cases, above every intensity they reach
+EMBEDDING_CAP = 6.0
 
 
 def _feed(h, value) -> None:
@@ -107,6 +112,21 @@ def cases():
                             np.asarray(path.s_plus), chaos.value, chaos.event_sum,
                             chaos.compensator, hg.intensity_moment_integrals(path, u)]
             yield f"simulate/{kname}/{lname}", digest(outputs)
+
+    for kname, kernel in KERNELS.items():
+        for lname, link in LINKS.items():
+            streams = hg.embedding_simulate(hg.SimConfig(hg.HawkesParams(kernel, link), 30.0,
+                                                         burn_in=5.0, seed=3), 8, EMBEDDING_CAP)
+            yield f"embedding/{kname}/{lname}", digest([np.asarray(s.times) for s in streams])
+    # the iterate and check at which the run leaves the mark strip; the
+    # intensity the message also names is not part of the digest
+    try:
+        hg.embedding_simulate(hg.SimConfig(hg.HawkesParams(KERNELS["tabulated"], LINKS["linear"]),
+                                           30.0, burn_in=5.0, seed=3), 8, 4.0)
+        where = None
+    except hg.TruncationError as err:
+        where = str(err).rsplit("(", 1)[-1].rstrip(")")
+    yield "embedding/tabulated/linear/truncated", digest(where)
 
     for name in PRESETS:
         rec = run_bound_vs_empirical(name, n_reps=500, seed=11,

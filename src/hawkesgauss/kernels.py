@@ -163,15 +163,15 @@ def resolvent(
     """
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
-    if step <= 0:
-        raise ParameterError(f"step must be > 0, got {step}")
+    if not (step > 0 and math.isfinite(step)):
+        raise ParameterError(f"step must be finite and > 0, got {step}")
     am = alpha * kernel.l1_norm()
     if am >= 1:
         raise StabilityError(f"resolvent requires alpha*mu < 1, got {am}")
     if horizon is None:
         horizon = default_horizon(kernel, alpha)
-    if horizon <= 0:
-        raise ParameterError(f"horizon must be > 0, got {horizon}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise ParameterError(f"horizon must be finite and > 0, got {horizon}")
 
     n = int(round(horizon / step)) + 1
     grid = np.arange(n) * step

@@ -115,7 +115,8 @@ class TabulatedKernel:
 
     Evaluation interpolates linearly inside [0, K*step] and is zero beyond.
     Norms integrate the interpolant exactly (trapezoid for L1, piecewise
-    quadratic for L2).
+    quadratic for L2); they and ``is_nonincreasing`` are computed once per
+    kernel.
     """
 
     step: float
@@ -155,15 +156,23 @@ class TabulatedKernel:
         out = np.where((t > 0) & (t <= self.support_end), out, 0.0)
         return out if out.ndim else float(out)
 
-    def l1_norm(self) -> float:
+    @cached_property
+    def _l1(self) -> float:
         return float(np.trapezoid(self._array, dx=self.step))
 
-    def l2_norm(self) -> float:
+    @cached_property
+    def _l2(self) -> float:
         v = self._array
         a, b = v[:-1], v[1:]
         # exact integral of the squared linear interpolant per cell
         sq = self.step * np.sum(a * a + a * b + b * b) / 3.0
         return math.sqrt(sq)
+
+    def l1_norm(self) -> float:
+        return self._l1
+
+    def l2_norm(self) -> float:
+        return self._l2
 
     @property
     def jump(self) -> float:
@@ -173,7 +182,7 @@ class TabulatedKernel:
     def support_end(self) -> float:
         return (len(self.values) - 1) * self.step
 
-    @property
+    @cached_property
     def is_nonincreasing(self) -> bool:
         return bool(np.all(np.diff(self._array) <= 0))
 
@@ -437,7 +446,10 @@ class EventStream:
         head = lines[0].split()
         if len(head) != 5:
             raise ParameterError(f"malformed header: {lines[0]!r}")
-        t0, t1 = float(head[2]), float(head[3])
-        seed = None if head[4] == "-" else int(head[4])
-        times = tuple(float(ln) for ln in lines[1:])
+        try:
+            t0, t1 = float(head[2]), float(head[3])
+            seed = None if head[4] == "-" else int(head[4])
+            times = tuple(float(ln) for ln in lines[1:])
+        except ValueError as exc:
+            raise ParameterError(f"malformed event stream: {exc}") from None
         return cls(times=times, window=(t0, t1), seed=seed)

@@ -22,14 +22,15 @@ counter are set per block reads any block of any replication's stream,
 without a generator per replication.  How the stream is split into blocks
 does not change the draws.
 
-``embedding_simulate`` is a small-scale cross-validator that runs the literal
+``embedding_simulate`` is the cross-validator that runs the literal
 iterative construction driven by one shared planar Poisson field, truncated
-to a finite mark strip.
+to a finite mark strip; each iterate reads S through ``IntensityPath``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -393,9 +394,10 @@ def embedding_simulate(
     points lying under the intensity built from iterate n-1; the point sets
     grow monotonically in n for nondecreasing links.  Any intensity value
     above ``z_cap`` invalidates the run and raises ``TruncationError``.
+    Once an iterate repeats the one before, every later one repeats it too.
     """
-    if n_iters < 1:
-        raise ParameterError(f"n_iters must be >= 1, got {n_iters}")
+    if not (isinstance(n_iters, numbers.Integral) and n_iters >= 1):
+        raise ParameterError(f"n_iters must be an integer >= 1, got {n_iters!r}")
     if not (z_cap > 0 and math.isfinite(z_cap)):
         raise ParameterError(f"z_cap must be finite and > 0, got {z_cap}")
     if cfg.params.phi0 > z_cap:
@@ -406,6 +408,7 @@ def embedding_simulate(
 
     params = cfg.params
     kernel, link = params.kernel, params.link
+    majorant = _majorant(kernel)
     rng = rng_for(cfg.seed, cfg.replication)
     t_start = -cfg.burn_in
     span = cfg.t_end - t_start
@@ -413,13 +416,8 @@ def embedding_simulate(
     n_pts = rng.poisson(span * z_cap)
     times = np.sort(t_start + span * rng.random(n_pts))
     marks = z_cap * rng.random(n_pts)
-
-    # pairwise weights between field points (w[i, j] = h(t_i - t_j) for
-    # t_j < t_i), for the kernel and, as in thinning, its nonincreasing
-    # majorant; toy scale keeps these dense matrices small
-    diffs = times[:, None] - times[None, :]
-    majorant = _majorant(kernel)
-    weights, bar_weights = (np.where(diffs > 0, k(diffs), 0.0) for k in (kernel, majorant))
+    # a field point may sit exactly at t_start, which a path's window excludes
+    window = (math.nextafter(t_start, -math.inf), cfg.t_end)
 
     def check_cap(lam_values, where):
         worst = float(np.max(lam_values)) if lam_values.size else 0.0
@@ -432,23 +430,24 @@ def embedding_simulate(
     streams: list[EventStream] = []
     accepted = np.zeros(n_pts, dtype=bool)
     for n in range(1, n_iters + 1):
-        if n_pts:
-            excitation = weights[:, accepted].sum(axis=1)
-            lam = np.asarray(link(excitation), dtype=float)
-        else:
-            lam = np.zeros(0)
+        events = times[accepted]
+        path = IntensityPath.build(events, kernel, link, *window)
+        lam = np.asarray(link(path._excitation_at(times, "left")), dtype=float)
         check_cap(lam, f"iterate {n} at field points")
-        if n_pts:
-            # S over the majorant is nonincreasing between events, so its
-            # post-event right limits at the previous iterate's points bound
-            # the intensity there
-            bar = bar_weights[:, accepted].sum(axis=1) + np.where(accepted, majorant.jump, 0.0)
-            post = np.asarray(link(bar), dtype=float)
-            check_cap(post[accepted], f"iterate {n} after events")
-        accepted = marks <= lam
+        # S over the majorant is nonincreasing between events, so its
+        # post-event right limits at the previous iterate's points bound
+        # the intensity there
+        if majorant is not kernel:
+            path = IntensityPath.build(events, majorant, link, *window)
+        post = np.asarray(link(path._excitation_at(events, "left") + majorant.jump), dtype=float)
+        check_cap(post, f"iterate {n} after events")
+        accepted, previous = marks <= lam, accepted
         kept = times[accepted]
         kept = kept[kept > 0.0]
         streams.append(
             EventStream(times=tuple(kept), window=(0.0, cfg.t_end), seed=cfg.seed)
         )
+        if np.array_equal(accepted, previous):
+            streams += streams[-1:] * (n_iters - n)
+            break
     return streams

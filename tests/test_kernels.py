@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hawkesgauss as hg
-from hawkesgauss.errors import HorizonError, NumericError, StabilityError
+from hawkesgauss.errors import HorizonError, NumericError, ParameterError, StabilityError
 from hawkesgauss.kernels import (
     RESOLVENT_TOL,
     _conv_trapezoid,
@@ -99,6 +99,16 @@ class TestResolvent:
         # step * alpha * h(0+) / 2 >= 1 makes the forward solve ill-posed
         with pytest.raises(NumericError):
             hg.resolvent(hg.ExponentialKernel(1000.0, 0.9), alpha=1.0, step=0.01, horizon=1.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_argument_validation(self, bad):
+        # step and horizon must be finite and > 0; NaN and infinity would
+        # reach int(round(horizon / step)) with an untyped error
+        k = hg.ExponentialKernel(1.0, 0.5)
+        with pytest.raises(ParameterError):
+            hg.resolvent(k, alpha=1.0, step=bad, horizon=5.0)
+        with pytest.raises(ParameterError):
+            hg.resolvent(k, alpha=1.0, step=1e-2, horizon=bad)
 
     def test_default_horizon_tail(self):
         k = hg.ExponentialKernel(1.0, 0.5)

@@ -1,6 +1,7 @@
 """Thinning engine, intensity paths, and the iterative embedding engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,6 +357,44 @@ class TestEmbedding:
             hg.embedding_simulate(hg.SimConfig(p, 10.0, seed=1), 0, 3.0)
         with pytest.raises(ParameterError):
             hg.embedding_simulate(hg.SimConfig(p, 10.0, seed=1), 2, 0.0)
+        with pytest.raises(ParameterError):
+            hg.embedding_simulate(hg.SimConfig(p, 10.0, seed=1), 2.5, 3.0)
+
+
+class TestEmbeddingScale:
+    """The embedding reads S through the shared evaluator, so its memory is
+    linear in the field points, and it stops at its fixed point."""
+
+    def test_memory_linear_in_field_points(self):
+        # t_end 800 at z_cap 3 draws about 2 400 field points, whose n x n
+        # float matrix alone would take 46 MB
+        p = hg.HawkesParams(hg.ExponentialKernel(1.0, 0.5), hg.SaturatingExpLink(1.0, 2.5))
+        tracemalloc.start()
+        try:
+            streams = hg.embedding_simulate(hg.SimConfig(p, 800.0, seed=3), 12, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(streams) == 12 and len(streams[-1]) > 0
+        assert peak < 20e6
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [hg.ExponentialKernel(1.0, 0.5), hg.TabulatedKernel(0.5, (0.0, 1.6, 0.0))],
+        ids=["exponential", "rising-tabulated"],
+    )
+    def test_fixed_point_repeats(self, kernel):
+        p = hg.HawkesParams(kernel, hg.SaturatingExpLink(1.0, 2.5))
+        reached = 0
+        for seed in range(10):
+            streams = hg.embedding_simulate(hg.SimConfig(p, 30.0, burn_in=3.0, seed=seed), 12, 4.0)
+            assert len(streams) == 12
+            times = [s.times for s in streams]
+            first = next((i for i in range(1, 12) if times[i] == times[i - 1]), None)
+            if first is not None:
+                reached += 1
+                assert all(t == times[first] for t in times[first:])
+        assert reached >= 8
 
 
 class TestBurnInDefault:

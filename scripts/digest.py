@@ -13,14 +13,16 @@ raises stops the script with a nonzero exit.
 The cases: ``replicate_innovations`` on the five presets, with and without
 moments, at three (replications, seed) pairs, at 4 097 ``linear``
 replications, and on an exponential x tanh and a tabulated x saturating
-model; ``simulate`` with ``first_chaos`` and ``intensity_moment_integrals``
-on the exponential, box and tabulated kernels under each link; every
-iterate's times of ``embedding_simulate`` (8 iterates) on the same kernels
-and links, plus the iterate and check at which a run on the tabulated kernel
-and linear link at mark cap 4 raises ``TruncationError``; the W1, KS
-and bootstrap standard errors of ``run_bound_vs_empirical`` on the five
-presets; ``evaluate_all`` and ``compare_conditions`` on 200 random linear
-cases drawn as criterion c07 draws them; and the c05 resolvent table.
+model; the lockstep engine's Philox keys (``simulator._stream_keys``) at
+three seeds, for spawn keys of one and two 32-bit words; ``simulate`` with
+``first_chaos`` and ``intensity_moment_integrals`` on the exponential, box
+and tabulated kernels under each link; every iterate's times of
+``embedding_simulate`` (8 iterates) on the same kernels and links, plus the
+iterate and check at which a run on the tabulated kernel and linear link at
+mark cap 4 raises ``TruncationError``; the W1, KS and bootstrap standard
+errors of ``run_bound_vs_empirical`` on the five presets; ``evaluate_all``
+and ``compare_conditions`` on 200 random linear cases drawn as criterion c07
+draws them; and the c05 resolvent table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 sys.path.insert(0, "src")
 
 import hawkesgauss as hg  # noqa: E402
+from hawkesgauss import simulator  # noqa: E402
 from hawkesgauss.experiments import (  # noqa: E402
     PRESETS, replicate_innovations, run_bound_vs_empirical,
 )
@@ -41,6 +44,10 @@ from hawkesgauss.experiments import (  # noqa: E402
 #: (replications, seed) of the preset runs: a few hundred paths, an odd count
 #: at the largest seed, and a single path at seed 0
 PRESET_RUNS = ((300, 5), (37, 2**64 - 1), (1, 0))
+
+#: replication indices of the key case: one spawn-key word up to 2**32 - 1,
+#: two from 2**32 on, which no replication case reaches
+KEY_REPS = (0, 1, 8191, 2**32 - 1, 2**32, 2**40, 2**64 - 1)
 
 KERNELS = {
     "exponential": hg.ExponentialKernel(1.0, 0.5),
@@ -99,6 +106,9 @@ def cases():
     reps = replicate_innovations(tab, hg.TestFunction((0.0, 20.0), (0.2,)), 20.0, 2.0, 40, 1,
                                  collect_moments=True)
     yield "replicate/tabulated-saturating/40/1", replication_digest(reps)
+    yield "stream_keys/0,5,2**64-1", digest(
+        [simulator._stream_keys(seed, KEY_REPS) for seed in (0, 5, 2**64 - 1)]
+    )
 
     u = hg.TestFunction((0.0, 10.0, 30.0), (0.4, -0.2))
     for kname, kernel in KERNELS.items():

@@ -11,13 +11,14 @@ Philox per chunk, whose key and counter are set per path and block
 (``simulator._stream_reader``), so no path builds a generator of its own.
 Between events lambda is deterministic, so the compensator is fixed by the
 accepted events alone (Ogata 1981): each event, and each path's end at
-t_end, closes one inter-event interval (t_last, t], which goes to a record
-of at most ``_RECORD`` rows.  A full record, and the record at a chunk's
-end, is integrated in one pass: the intervals are met with u's nonzero
-pieces and each weight row times lambda is integrated in the closed forms of
-``chaos``, on the pieces cut at events as in ``chaos.first_chaos``.  Only
-running sums are kept, and memory grows with the number of paths thinned
-together, at most ``_CHUNK``, plus the fixed record.  Box and tabulated
+t_end, closes one inter-event interval (t_last, t], which goes to a list
+of batches, one per step for the events and one for the ends.  Once the
+batches hold ``_RECORD`` rows, and at a chunk's end, they are integrated in
+one pass: the intervals are met with u's nonzero pieces and each weight row
+times lambda is integrated in the closed forms of ``chaos``, on the pieces
+cut at events as in ``chaos.first_chaos``.  Only running sums are kept, and
+memory grows with the number of paths thinned together, at most ``_CHUNK``,
+plus the batches, fewer than ``_RECORD`` + ``_CHUNK`` rows.  Box and tabulated
 kernels run ``simulate`` path by path, and ``chaos`` integrates each path's
 pieces in closed form too.
 """
@@ -41,8 +42,8 @@ from .simulator import (
 #: running state) and leaves every replication's numbers unchanged
 _CHUNK = 4096
 
-#: closed inter-event intervals that a chunk integrates at a time (the rows
-#: of ``_Intervals``); a fixed cap keeps the record small however many paths
+#: closed inter-event intervals at which a chunk integrates the batches it
+#: holds (``_integrate``); a fixed cap keeps them small however many paths
 #: run, and leaves every replication's numbers unchanged
 _RECORD = 2**12
 
@@ -101,12 +102,13 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
     ``event_sum``) to t_end, adding their sums into ``event_sum`` and the
     arrays of ``integrals``, one per weight row; ``pieces`` holds the
     starts, ends and weight rows of u's nonzero pieces.  The step loop only
-    thins; every closed inter-event interval goes to an ``_Intervals``
-    record, which integrates the compensator."""
+    thins; each closed inter-event interval (path, t0, S(t0+), t1) goes to a
+    batch of ``events``, or of ``ends`` when the path's end closes it at
+    t1 = t_end, which ``_integrate`` integrates once they hold ``_RECORD``
+    rows, and at the chunk's end."""
     kernel, link = params.kernel, params.link
     rate, jump = kernel.rate, kernel.jump
     n = event_sum.size
-    record = _Intervals(kernel, link, u, pieces, t_end, event_sum, integrals)
     read = _stream_reader(seed, np.arange(first, first + n))
     buf = np.empty((n, _BLOCK))
     pos = _BLOCK
@@ -115,6 +117,7 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
     t = np.full(n, -float(burn_in))
     t_last = t.copy()
     s_last = np.zeros(n)
+    events, ends, held = [], [], 0
     while rep.size:
         if pos == _BLOCK:
             # every running path has read its block: read the next ones into
@@ -141,67 +144,41 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
         hit = (alive & (u_accept * lam_bar <= lam_cand)).nonzero()[0]
         if hit.size:
             t_hit = t_cand[hit]
-            record.add(rep[hit], t_last[hit], s_last[hit], t_hit)
+            events.append((rep[hit], t_last[hit], s_last[hit], t_hit))
+            held += hit.size
             t_last[hit] = t_hit
             s_last[hit] = s_cand[hit] + jump
         t = t_cand
         if np.count_nonzero(alive) < rep.size:
-            end = ~alive
-            record.add(rep[end], t_last[end], s_last[end])
+            end = (~alive).nonzero()[0]
+            ends.append((rep[end], t_last[end], s_last[end], np.full(end.size, t_end)))
+            held += end.size
             rep, t, t_last, s_last, row_of = (
                 x[alive] for x in (rep, t, t_last, s_last, row_of)
             )
-    record.integrate()
+        if held >= _RECORD or not rep.size:
+            _integrate(kernel, link, u, pieces, events, ends, event_sum, integrals)
+            events, ends, held = [], [], 0
 
 
-class _Intervals:
-    """Record of the closed inter-event intervals of a chunk's paths, each
-    (path, t0, S(t0+), t1, event): an event at t1 closes (t0, t1], and so
-    does a path's end at t1 = t_end, without an event.  When ``_RECORD`` rows
-    are held, and at the chunk's end, ``integrate`` adds u(t1) of the events
-    to ``event_sum`` and the integrals of the weight rows times lambda over
-    each interval, met with u's nonzero pieces, to ``integrals``, both with
-    ``np.add.at`` in record order: each path's sums add up one by one, in
-    time order, whatever the capacity."""
-
-    def __init__(self, kernel, link, u, pieces, t_end, event_sum, integrals):
-        self.kernel, self.link, self.u, self.pieces = kernel, link, u, pieces
-        self.t_end = t_end
-        self.event_sum, self.integrals = event_sum, integrals
-        self.path = np.empty(_RECORD, dtype=np.intp)
-        self.t0, self.s0, self.t1 = np.empty((3, _RECORD))
-        self.event = np.empty(_RECORD, dtype=bool)
-        self.size = 0
-
-    def add(self, path, t0, s0, t1=None) -> None:
-        """Append the intervals (t0[i], t1[i]] of paths path[i], from
-        S(t0[i]+) = s0[i], each closed by an event at t1[i]; without t1,
-        closed by the path's end at t_end."""
-        done = 0
-        while done < path.size:
-            take = min(path.size - done, _RECORD - self.size)
-            src, dst = slice(done, done + take), slice(self.size, self.size + take)
-            self.path[dst], self.t0[dst], self.s0[dst] = path[src], t0[src], s0[src]
-            self.t1[dst] = self.t_end if t1 is None else t1[src]
-            self.event[dst] = t1 is not None
-            self.size += take
-            done += take
-            if self.size == _RECORD:
-                self.integrate()
-
-    def integrate(self) -> None:
-        """Integrate the held intervals into the sums and empty the record."""
-        n, self.size = self.size, 0
-        path, t0, s0, t1 = self.path[:n], self.t0[:n], self.s0[:n], self.t1[:n]
-        event = self.event[:n]
-        np.add.at(self.event_sum, path[event], self.u(t1[event]))
-        lo, hi, weights = self.pieces
-        a = np.clip(t0[:, None], lo, hi)
-        length = np.clip(t1[:, None], lo, hi) - a
-        row, piece = np.nonzero(length > 0)
-        if not row.size:
-            return
-        s_a = s0[row] * np.exp(-self.kernel.rate * (a[row, piece] - t0[row]))
-        vals = _closed_form_integrals(self.kernel, self.link, s_a, length[row, piece])
-        for out, w in zip(self.integrals, weights):
-            np.add.at(out, path[row], w[piece] * vals)
+def _integrate(kernel, link, u, pieces, events, ends, event_sum, integrals) -> None:
+    """Integrate the interval batches ``events`` and then ``ends``, each
+    (path, t0, S(t0+), t1): add u(t1) of the events to ``event_sum``, and
+    the integrals of the weight rows times lambda over each interval, met
+    with u's nonzero pieces, to ``integrals``, both with ``np.add.at`` in
+    batch order.  A path's events come in time order and its end after
+    them, so each path's sums add up one by one, in time order, however the
+    intervals are batched."""
+    n_events = sum(batch[0].size for batch in events)
+    path, t0, s0, t1 = map(np.concatenate, zip(*events, *ends))
+    np.add.at(event_sum, path[:n_events], u(t1[:n_events]))
+    lo, hi, weights = pieces
+    a = np.clip(t0[:, None], lo, hi)
+    length = np.clip(t1[:, None], lo, hi) - a
+    row, piece = np.nonzero(length > 0)
+    if not row.size:
+        return
+    s_a = s0[row] * np.exp(-kernel.rate * (a[row, piece] - t0[row]))
+    vals = _closed_form_integrals(kernel, link, s_a, length[row, piece])
+    for out, w in zip(integrals, weights):
+        np.add.at(out, path[row], w[piece] * vals)

@@ -6,6 +6,7 @@ how bounds and empirical distances shrink together.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,8 @@ def replicate_innovations(
     exponential kernel in lockstep, whatever the link, and gives the numbers
     of ``simulate`` and ``first_chaos`` to rounding.
     """
-    if n_reps < 1:
-        raise ParameterError(f"need at least 1 replication, got {n_reps}")
+    if not (isinstance(n_reps, numbers.Integral) and n_reps >= 1):
+        raise ParameterError(f"need an integer count of at least 1 replication, got {n_reps!r}")
     # the typed errors of SimConfig for t_end, burn_in and seed
     SimConfig(params=params, t_end=t_end, burn_in=burn_in, seed=seed, replication=n_reps - 1)
     event_sum, integrals = replication_sums(
@@ -189,8 +190,10 @@ def run_bound_vs_empirical(
                 f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
             ) from None
     params, u = preset.params, preset.u
-    if n_reps < 2:
-        raise ParameterError(f"need at least 2 replications for the distances, got {n_reps}")
+    if not (isinstance(n_reps, numbers.Integral) and n_reps >= 2):
+        raise ParameterError(
+            f"need an integer count of at least 2 replications for the distances, got {n_reps!r}"
+        )
 
     reports = list(evaluate_all(params, u, stationary=preset.stationary))
     reps = replicate_innovations(
@@ -317,8 +320,8 @@ def run_rate_sweep(
         raise ParameterError(f"eps grid must lie strictly inside (0, 1), got {grid}")
     if any(b >= a for a, b in zip(grid[:-1], grid[1:])):
         raise ParameterError(f"eps grid must be strictly decreasing, got {grid}")
-    if with_empirical and n_reps < 1000:
-        raise ParameterError(f"need at least 1000 replications, got {n_reps}")
+    if with_empirical and not (isinstance(n_reps, numbers.Integral) and n_reps >= 1000):
+        raise ParameterError(f"need an integer count of >= 1000 replications, got {n_reps!r}")
 
     rows = []
     for i, eps in enumerate(grid):

@@ -83,6 +83,8 @@ class ResolventTable:
 def default_horizon(kernel: Kernel, alpha: float, tail_fraction: float = 1e-6) -> float:
     """Horizon T such that the resolvent mass beyond T is below
     ``tail_fraction`` of its total mass alpha*mu/(1-alpha*mu)."""
+    if not 0.0 < tail_fraction < 1.0:
+        raise ParameterError(f"tail_fraction must lie in (0, 1), got {tail_fraction}")
     am = alpha * kernel.l1_norm()
     if am <= 0:
         return 1.0

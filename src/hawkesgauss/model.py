@@ -417,6 +417,8 @@ class EventStream:
         times = tuple(float(t) for t in self.times)
         arr = np.asarray(times)
         if arr.size:
+            if not np.all(np.isfinite(arr)):
+                raise ParameterError("event times must be finite")
             if not np.all(np.diff(arr) > 0):
                 raise ParameterError("event times must be strictly ascending")
             if arr[0] <= t0 or arr[-1] > t1:

@@ -17,7 +17,8 @@ Candidate j of replication k reads uniforms 2j and 2j + 1 of
 ``rng_for(seed, k).random()`` (``_candidate_draws``), read ``_BLOCK`` at a
 time.  The lockstep engine in ``_lockstep`` reads the same streams for many
 paths at once, in blocks of the same size, through ``_stream_reader``:
-Philox is counter-based, so one Philox whose key (``_stream_keys``) and
+Philox is counter-based, so one Philox whose key (``_stream_keys``, numpy's
+``SeedSequence`` hash run once over a (4, n) array of pool words) and
 counter are set per block reads any block of any replication's stream,
 without a generator per replication.  How the stream is split into blocks
 does not change the draws.
@@ -62,10 +63,10 @@ class SimConfig:
             raise ParameterError(f"t_end must be > 0, got {self.t_end}")
         if not (self.burn_in >= 0 and math.isfinite(self.burn_in)):
             raise ParameterError(f"burn_in must be >= 0, got {self.burn_in}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ParameterError("seed must fit in 64 bits")
-        if int(self.replication) < 0:
-            raise ParameterError("replication index must be >= 0")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ParameterError(f"seed must be an integer below 2**64, got {self.seed!r}")
+        if not (isinstance(self.replication, numbers.Integral) and self.replication >= 0):
+            raise ParameterError(f"replication must be an integer >= 0, got {self.replication!r}")
 
 
 def rng_for(seed: int, replication: int) -> np.random.Generator:
@@ -77,11 +78,16 @@ def rng_for(seed: int, replication: int) -> np.random.Generator:
 
 #: numpy's ``SeedSequence`` hash constants (O'Neill's seed_seq_fe): the
 #: entropy mix's start and multiplier, the pool mix's two multipliers and
-#: ``generate_state``'s start and multiplier
+#: ``generate_state``'s start and multiplier; then, as columns, the running
+#: hash constants of the entropy mix from the spawn key's first word on (16
+#: hashes fill and mix the pool before it) and of ``generate_state``
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MASK32 = 0xFFFFFFFF
+_HASH_A = np.array([_INIT_A * pow(_MULT_A, i, 2**32) % 2**32 for i in range(16, 25)],
+                   dtype=np.uint32)[:, None]
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, i, 2**32) % 2**32 for i in range(5)],
+                   dtype=np.uint32)[:, None]
 
 
 def _stream_keys(seed: int, reps) -> np.ndarray:
@@ -90,36 +96,27 @@ def _stream_keys(seed: int, reps) -> np.ndarray:
     computed for all k at once.  The seed, below 2**64 and so at most two of
     the pool's four words, fills and mixes the pool in 16 hashes before the
     spawn key enters, so the pool of ``SeedSequence(seed)`` is shared by
-    every k.  Only the spawn key's words (one below 2**32, two from there to
-    2**64) and the output hash run per k, as uint32 arrays."""
+    every k.  Each spawn-key word (one below 2**32, two from there to 2**64)
+    is hashed against each of the four pool words and mixed into it, and the
+    output hash reads the pool, all as (4, n) uint32 arrays."""
     reps = np.asarray(reps, dtype=np.uint64)
-    keys = np.empty((reps.size, 2), dtype=np.uint64)
-    shared = np.random.SeedSequence(int(seed)).pool
+    pool = np.repeat(np.random.SeedSequence(int(seed)).pool[:, None], reps.size, axis=1)
+
+    def mix_word(pool, word, hash_const):
+        value = (word ^ hash_const[:-1]) * hash_const[1:]
+        value ^= value >> np.uint32(16)
+        mixed = pool * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
+        return mixed ^ (mixed >> np.uint32(16))
+
+    pool = mix_word(pool, reps.astype(np.uint32), _HASH_A[:5])
     wide = reps >= 2**32
-    for sel, n_words in ((~wide, 1), (wide, 2)):
-        k = reps[sel]
-        if not k.size:
-            continue
-        words = ((k & _MASK32).astype(np.uint32), (k >> np.uint64(32)).astype(np.uint32))
-        pool = [np.full(k.size, p, dtype=np.uint32) for p in shared]
-        hash_const = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
-        for word in words[:n_words]:
-            for i in range(4):
-                value = word ^ np.uint32(hash_const)
-                hash_const = hash_const * _MULT_A & _MASK32
-                value *= np.uint32(hash_const)
-                value ^= value >> np.uint32(16)
-                mixed = pool[i] * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
-                pool[i] = mixed ^ (mixed >> np.uint32(16))
-        hash_const = _INIT_B
-        for i in range(4):
-            pool[i] ^= np.uint32(hash_const)
-            hash_const = hash_const * _MULT_B & _MASK32
-            pool[i] *= np.uint32(hash_const)
-            pool[i] ^= pool[i] >> np.uint32(16)
-        out = np.array(pool, dtype=np.uint64)
-        keys[sel] = (out[0::2] | out[1::2] << np.uint64(32)).T
-    return keys
+    if wide.any():
+        high = (reps >> np.uint64(32)).astype(np.uint32)
+        pool = np.where(wide, mix_word(pool, high, _HASH_A[4:]), pool)
+    out = (pool ^ _HASH_B[:-1]) * _HASH_B[1:]
+    out ^= out >> np.uint32(16)
+    out = out.astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).T
 
 
 def _stream_reader(seed: int, reps):

@@ -242,10 +242,10 @@ class TestLockstepEngine:
             )
 
     def test_working_memory_is_bounded(self):
-        # 4096 saturating paths in one chunk peak at 11.1 MB of traced
+        # 4096 saturating paths in one chunk peak at 11.6 MB of traced
         # allocations: their uniform blocks (8 MiB at _BLOCK = 256 a path),
         # their Philox keys, read through one shared Philox, and the interval
-        # record
+        # batches, fewer than _RECORD + 4096 rows
         p = PRESETS["saturating"]
         tracemalloc.start()
         try:
@@ -312,7 +312,7 @@ class TestLockstepEngine:
 
 
 class TestReplicationCounts:
-    @pytest.mark.parametrize("n_reps", [0, -5])
+    @pytest.mark.parametrize("n_reps", [0, -5, 2.5])
     @pytest.mark.parametrize("kernel", [hg.ExponentialKernel(1.0, 0.3), hg.BoxKernel(1.0, 0.3)])
     def test_replicate_needs_one(self, n_reps, kernel):
         params = hg.HawkesParams(kernel, hg.LinearLink(1.0))
@@ -320,10 +320,14 @@ class TestReplicationCounts:
         with pytest.raises(ParameterError):
             replicate_innovations(params, u, 5.0, 0.0, n_reps, seed=1)
 
-    @pytest.mark.parametrize("n_reps", [1, 0, -5])
+    @pytest.mark.parametrize("n_reps", [1, 0, -5, 2.5])
     def test_bound_vs_empirical_needs_two(self, n_reps):
         with pytest.raises(ParameterError):
             run_bound_vs_empirical("poisson", n_reps=n_reps, seed=1)
+
+    def test_rate_sweep_needs_an_integer_count(self):
+        with pytest.raises(ParameterError):
+            run_rate_sweep("linear", [0.2], n_reps=1000.5, seed=1)
 
 
 class TestBoundVsEmpirical:

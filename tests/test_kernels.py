@@ -116,6 +116,12 @@ class TestResolvent:
         tab = hg.resolvent(k, 1.0, step=5e-3, horizon=T)
         assert tab.tail_bound <= 1e-6 * tab.total_mass * 1.01
 
+    @pytest.mark.parametrize("tail_fraction", [0.0, -0.5, 1.0, 2.0, math.nan])
+    @pytest.mark.parametrize("kernel", [hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(1.0, 0.5)])
+    def test_default_horizon_rejects_tail_fraction(self, kernel, tail_fraction):
+        with pytest.raises(ParameterError):
+            default_horizon(kernel, 1.0, tail_fraction)
+
 
 def blocked_resolvent_values(kernel, alpha, step, horizon, block=1024):
     """Frozen copy of the earlier forward solve: blocks of ``block`` steps,

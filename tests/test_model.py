@@ -292,7 +292,10 @@ class TestEventStream:
             hg.EventStream((2.5,), (0.0, 2.0))
         with pytest.raises(ParameterError):
             hg.EventStream((), (2.0, 1.0))
-        # non-numeric window fields, seed and time lines
-        for text in ("# window a b -\n", "# window 0.0 2.0 x\n", "# window 0.0 2.0 -\nx\n"):
+        with pytest.raises(ParameterError):
+            hg.EventStream((math.nan,), (0.0, 1.0))  # a lone NaN compares false
+        # non-numeric window fields, seed and time lines, and a NaN time
+        for text in ("# window a b -\n", "# window 0.0 2.0 x\n", "# window 0.0 2.0 -\nx\n",
+                     "# window 0 1 -\nnan\n"):
             with pytest.raises(ParameterError):
                 hg.EventStream.parse(text)

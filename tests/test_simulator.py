@@ -149,6 +149,11 @@ class TestSimulate:
             hg.SimConfig(p, t_end=1.0, burn_in=-1.0)
         with pytest.raises(ParameterError):
             hg.SimConfig(p, t_end=1.0, seed=-1)
+        # seeds and replication indices must be integers, not values int() rounds
+        for bad in ({"seed": 1.5}, {"seed": math.nan}, {"replication": 1.5},
+                    {"replication": math.nan}):
+            with pytest.raises(ParameterError):
+                hg.SimConfig(p, t_end=1.0, **bad)
 
 
 class TestStreamLayout:
@@ -180,7 +185,7 @@ class TestStreamLayout:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
     def test_stream_keys_are_seed_sequence_keys(self, seed):
         # one spawn-key word below 2**32, two from there on
-        ks = [0, 1, 8191, 8192, 2**32 - 1, 2**32, 2**40]
+        ks = [0, 1, 8191, 8192, 2**32 - 1, 2**32, 2**40, 2**64 - 1]
         want = np.array([
             np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64)
             for k in ks
@@ -188,6 +193,8 @@ class TestStreamLayout:
         got = simulator._stream_keys(seed, ks)
         assert got.dtype == np.uint64
         np.testing.assert_array_equal(got, want)
+        empty = simulator._stream_keys(seed, [])
+        assert empty.shape == (0, 2) and empty.dtype == np.uint64
         for k, key in zip(ks[:3], got):
             np.testing.assert_array_equal(rng_for(seed, k).bit_generator.state["state"]["key"], key)
 

@@ -20,9 +20,11 @@ and tabulated kernels under each link; every iterate's times of
 ``embedding_simulate`` (8 iterates) on the same kernels and links, plus the
 iterate and check at which a run on the tabulated kernel and linear link at
 mark cap 4 raises ``TruncationError``; the W1, KS and bootstrap standard
-errors of ``run_bound_vs_empirical`` on the five presets; ``evaluate_all``
+errors of ``run_bound_vs_empirical`` on the five presets, and the terms of
+the ``resolvent_majorant`` report it adds on ``saturating``; ``evaluate_all``
 and ``compare_conditions`` on 200 random linear cases drawn as criterion c07
-draws them; and the c05 resolvent table.
+draws them; and the resolvent tables of the exponential, box and tabulated
+kernels on the c05 grid.
 """
 
 from __future__ import annotations
@@ -145,6 +147,11 @@ def cases():
             rec.w1_exact, rec.ks_exact, rec.w1_exact_se,
             rec.w1_approx, rec.ks_approx, rec.w1_approx_se,
         )
+        for report in rec.reports:
+            if report.name == "resolvent_majorant":
+                yield f"bound_vs_empirical/{name}/resolvent_majorant", digest(
+                    report.terms, report.mc_terms
+                )
 
     # criterion c07's draw (tests/sweep_utils.py): nu, then mu, then the
     # kernel, then the test function; written out here, so that both
@@ -170,8 +177,11 @@ def cases():
         outputs.append(sorted(hg.compare_conditions(nu, kernel, tf).items()))
     yield "bounds/c07-random-linear/200", digest(outputs)
 
-    tab = hg.resolvent(hg.ExponentialKernel(1.0, 0.5), alpha=1.0, step=1e-3, horizon=15.0)
-    yield "resolvent/c05", digest(tab.values, tab.tail_bound, tab.residual_sup)
+    # the c05 grid for each kernel kind the analytic workload solves on it
+    for kname, kernel in (("c05", hg.ExponentialKernel(1.0, 0.5)),
+                          ("c05/box", KERNELS["box"]), ("c05/tabulated", KERNELS["tabulated"])):
+        tab = hg.resolvent(kernel, alpha=1.0, step=1e-3, horizon=15.0)
+        yield f"resolvent/{kname}", digest(tab.values, tab.tail_bound, tab.residual_sup)
 
 
 def main() -> int:

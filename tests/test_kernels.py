@@ -1,5 +1,6 @@
 """Resolvent and cross-energy tests, checked against analytic forms, the
-literal Picard iteration, and brute-force Riemann sums."""
+literal Picard iteration, the exponential kernel's FFT-free recursion, and
+brute-force Riemann sums."""
 
 import math
 
@@ -13,7 +14,7 @@ from hawkesgauss.kernels import (
     _conv_trapezoid,
     _fft_convolve,
     _grid_samples,
-    _series_inverse,
+    _tail_solve,
     default_horizon,
 )
 
@@ -102,13 +103,16 @@ class TestResolvent:
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_argument_validation(self, bad):
-        # step and horizon must be finite and > 0; NaN and infinity would
-        # reach int(round(horizon / step)) with an untyped error
+        # step, horizon and tol must be finite and > 0; NaN and infinity would
+        # reach int(round(horizon / step)) with an untyped error, and a NaN
+        # tol would switch the residual check off
         k = hg.ExponentialKernel(1.0, 0.5)
         with pytest.raises(ParameterError):
             hg.resolvent(k, alpha=1.0, step=bad, horizon=5.0)
         with pytest.raises(ParameterError):
             hg.resolvent(k, alpha=1.0, step=1e-2, horizon=bad)
+        with pytest.raises(ParameterError):
+            hg.resolvent(k, alpha=1.0, step=1e-2, horizon=5.0, tol=bad)
 
     def test_default_horizon_tail(self):
         k = hg.ExponentialKernel(1.0, 0.5)
@@ -148,6 +152,23 @@ def blocked_resolvent_values(kernel, alpha, step, horizon, block=1024):
     return psi
 
 
+def exponential_recursion_values(kernel, alpha, step, horizon):
+    """FFT-free oracle for an exponential kernel: ah_m = A*q^m with
+    A = alpha*h(0+) and q = exp(-rate*step), so the trapezoid system's history
+    S_k = sum_{j<k} q^(k-j) psi_j obeys S_{k+1} = q*(S_k + psi_k), and
+    psi_k = ah_k + step*A*S_k/denom with denom = 1 - step*A/2."""
+    n = int(round(horizon / step)) + 1
+    ah = alpha * _grid_samples(kernel, np.arange(n) * step, step)
+    q = math.exp(-kernel.rate * step)
+    b = step * ah[0] / (1.0 - 0.5 * step * ah[0])
+    psi = np.empty(n)
+    s = 0.0
+    for k in range(n):
+        psi[k] = ah[k] + b * s
+        s = q * (s + psi[k])
+    return psi
+
+
 ORACLE_KERNELS = (
     hg.ExponentialKernel(1.0, 0.5),
     hg.BoxKernel(1.5, 0.5),
@@ -171,15 +192,34 @@ class TestSeriesSolve:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 5, 1024, 1025])
     def test_series_inverse_is_inverse(self, size):
+        # the tail solve forms no series inverse, but 1 + (b/a)*P is the
+        # inverse of 1 - b*g exactly when P = a*g + b*g*P, so check that
+        # fixed point against np.convolve
         rng = np.random.default_rng(size)
-        col = -1e-3 * rng.uniform(0.0, 2.0, size)
-        col[0] = 1.0 - rng.uniform(0.0, 0.5)
-        inv = _series_inverse(col, size)
-        assert len(inv) == size
-        unit = np.zeros(size)
-        unit[0] = 1.0
-        product = np.convolve(col, inv)[:size]
-        assert float(np.max(np.abs(product - unit))) <= 1e-14
+        denom = 1.0 - rng.uniform(0.0, 0.5)
+        a, b = rng.uniform(1.0, 1.5) / denom, 1e-3 / denom
+        g = rng.uniform(0.0, 2.0, size)
+        g[0] = 0.0
+        p = _tail_solve(g, a, b)
+        assert len(p) == size and p[0] == 0.0
+        fixed = a * g + b * np.convolve(g, p)[:size]
+        assert float(np.max(np.abs(p - fixed))) <= 1e-14 * float(np.max(np.abs(fixed)))
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 1025, 15001])
+    def test_matches_exponential_recursion(self, nodes):
+        kernel, step = ORACLE_KERNELS[0], 1e-3
+        horizon = (nodes - 1) * step if nodes > 1 else 0.4 * step
+        tab = hg.resolvent(kernel, alpha=1.0, step=step, horizon=horizon)
+        oracle = exponential_recursion_values(kernel, 1.0, step, horizon)
+        assert len(tab.values) == nodes
+        err = float(np.max(np.abs(tab.values - oracle)))
+        assert err <= 1e-13 * float(np.max(np.abs(oracle)))
+
+    @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["exponential", "box", "tabulated"])
+    def test_residual_on_c05_grid(self, kernel):
+        tab = hg.resolvent(kernel, alpha=1.0, step=1e-3, horizon=15.0)
+        assert len(tab.values) == 15001
+        assert tab.residual_sup <= 1e-14
 
 
 class TestCrossEnergy:

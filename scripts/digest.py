@@ -16,19 +16,25 @@ replications, and on an exponential x tanh and a tabulated x saturating
 model; the lockstep engine's Philox keys (``simulator._stream_keys``) at
 three seeds, for spawn keys of one and two 32-bit words; ``simulate`` with
 ``first_chaos`` and ``intensity_moment_integrals`` on the exponential, box
-and tabulated kernels under each link; every iterate's times of
-``embedding_simulate`` (8 iterates) on the same kernels and links, plus the
+and tabulated kernels under each link; ``s_plus``, ``first_chaos`` and
+``intensity_moment_integrals`` of one exponential path made by the
+``IntensityPath`` constructor from fixed events (a checkout whose
+``IntensityPath`` takes ``s_plus`` as a constructor field lacks this case:
+such a path left at the field's default cannot be evaluated); every
+iterate's times of ``embedding_simulate`` (8 iterates) on the same kernels and links, plus the
 iterate and check at which a run on the tabulated kernel and linear link at
 mark cap 4 raises ``TruncationError``; the W1, KS and bootstrap standard
 errors of ``run_bound_vs_empirical`` on the five presets, and the terms of
 the ``resolvent_majorant`` report it adds on ``saturating``; ``evaluate_all``
 and ``compare_conditions`` on 200 random linear cases drawn as criterion c07
 draws them; and the resolvent tables of the exponential, box and tabulated
-kernels on the c05 grid.
+kernels on the c05 grid, and of a tabulated kernel that ends on a nonzero
+value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -125,6 +131,16 @@ def cases():
                             chaos.compensator, hg.intensity_moment_integrals(path, u)]
             yield f"simulate/{kname}/{lname}", digest(outputs)
 
+    if "s_plus" not in {f.name for f in dataclasses.fields(hg.IntensityPath)}:
+        events = tuple(np.sort(np.random.default_rng(7).uniform(-5.0, 30.0, 60)).tolist())
+        path = hg.IntensityPath(events, KERNELS["exponential"], LINKS["saturating"], -5.0, 30.0)
+        stream = hg.EventStream(tuple(e for e in events if e > 0.0), (0.0, 30.0))
+        chaos = hg.first_chaos(stream, path, u)
+        yield "path/constructed/exponential/saturating", digest(
+            np.asarray(path.s_plus), chaos.value, chaos.event_sum, chaos.compensator,
+            hg.intensity_moment_integrals(path, u),
+        )
+
     for kname, kernel in KERNELS.items():
         for lname, link in LINKS.items():
             streams = hg.embedding_simulate(hg.SimConfig(hg.HawkesParams(kernel, link), 30.0,
@@ -178,8 +194,10 @@ def cases():
     yield "bounds/c07-random-linear/200", digest(outputs)
 
     # the c05 grid for each kernel kind the analytic workload solves on it
+    # and for a table that jumps to 0 at its end, as a box does
     for kname, kernel in (("c05", hg.ExponentialKernel(1.0, 0.5)),
-                          ("c05/box", KERNELS["box"]), ("c05/tabulated", KERNELS["tabulated"])):
+                          ("c05/box", KERNELS["box"]), ("c05/tabulated", KERNELS["tabulated"]),
+                          ("c05/tabulated-end-jump", hg.TabulatedKernel(0.5, (0.8, 0.8)))):
         tab = hg.resolvent(kernel, alpha=1.0, step=1e-3, horizon=15.0)
         yield f"resolvent/{kname}", digest(tab.values, tab.tail_bound, tab.residual_sup)
 

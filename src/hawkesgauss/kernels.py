@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import HorizonError, NumericError, ParameterError, StabilityError
-from .model import BoxKernel, ExponentialKernel, Kernel, TestFunction
+from .model import ExponentialKernel, Kernel, TestFunction
 
 RESOLVENT_TOL = 1e-9
 
@@ -107,14 +107,16 @@ def default_horizon(kernel: Kernel, alpha: float, tail_fraction: float = 1e-6) -
 
 def _grid_samples(kernel: Kernel, grid: np.ndarray, step: float) -> np.ndarray:
     """Kernel sampled for quadrature: node 0 carries the right limit h(0+);
-    a node sitting exactly on a jump carries the mean of the two limits."""
+    a node sitting exactly on the end of a finite support, where h jumps to
+    0, carries the mean of the two limits."""
     h = np.asarray(kernel(grid), dtype=float).copy()
     h[0] = kernel.jump
-    if isinstance(kernel, BoxKernel):
-        k = kernel.width / step
+    end = kernel.support_end
+    if math.isfinite(end):
+        k = end / step
         k_round = round(k)
         if abs(k - k_round) < 1e-9 and 0 < k_round < len(grid):
-            h[k_round] = 0.5 * kernel.jump
+            h[k_round] = 0.5 * kernel(end)
     return h
 
 

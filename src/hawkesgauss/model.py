@@ -342,9 +342,6 @@ class TestFunction:
         """Signed integral of the function over its support."""
         return float(np.sum(np.asarray(self.values) * self.widths))
 
-    def abs(self) -> "TestFunction":
-        return TestFunction(self.breakpoints, tuple(abs(v) for v in self.values))
-
     def squared(self) -> "TestFunction":
         return TestFunction(self.breakpoints, tuple(v * v for v in self.values))
 

@@ -5,13 +5,14 @@ dominating rate, valid because the links are nondecreasing and the envelope
 sums the kernel's nonincreasing majorant, which only decays between events.
 
 The excitation state is the event list plus, for exponential kernels, the
-right limits ``s_plus`` after each event.  One append step records it, and
-one evaluator reads S(t) from it, summing the kernel terms of the events
-within reach for compactly supported kernels; thinning and ``IntensityPath``
-go through them.  ``IntensityPath._excitation_at``, their form for many times
-at once, gathers all the windows of those sums in one flat numpy pass and
-serves the compensator in ``chaos``, so the compensator integrates the
-intensity that drew the events.
+right limits ``s_plus`` after each event, which thinning extends as it
+accepts events and ``IntensityPath`` derives from its events.  One evaluator
+reads S(t) from it, summing the kernel terms of the events within reach for
+compactly supported kernels; thinning and ``IntensityPath`` go through it.
+``IntensityPath._excitation_at``, its form for many times at once, gathers
+all the windows of those sums in one flat numpy pass and serves the
+compensator in ``chaos``, so the compensator integrates the intensity that
+drew the events.
 
 Candidate j of replication k reads uniforms 2j and 2j + 1 of
 ``rng_for(seed, k).random()`` (``_candidate_draws``), read ``_BLOCK`` at a
@@ -33,7 +34,8 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,15 +232,6 @@ def _excitation(kernel, events, s_plus, t: float, n: int, side: str = "left") ->
     return float(_kernel_terms(kernel, t - np.asarray(events[lo:n])).sum())
 
 
-def _append_event(kernel, events: list, s_plus: list, t: float) -> None:
-    """Add an event at t, later than every recorded one; for exponential
-    kernels also record S(t+) = S(t) + h(0+), the Markov recursion that makes
-    evaluation between events O(1)."""
-    if isinstance(kernel, ExponentialKernel):
-        s_plus.append(_excitation(kernel, events, s_plus, t, len(events)) + kernel.jump)
-    events.append(t)
-
-
 def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
     """Thinning simulation on (-burn_in, t_end] from an empty past.  The
     dominating rate after each candidate is phi(S(t+)), S summed over the
@@ -251,7 +244,9 @@ def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
     t_start = -cfg.burn_in
     t = t_start
     events: list[float] = []
+    # S(e+) after each event, for exponential kernels: S(e) + h(0+)
     s_plus: list[float] = []
+    exponential = isinstance(kernel, ExponentialKernel)
 
     # every recorded event is at or before t and before t_cand, so both
     # evaluations use all of them: S(t+) for the envelope, S(t_cand) for lambda
@@ -263,11 +258,14 @@ def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
         t_cand = t - math.log1p(-u_wait) / lam_bar
         if t_cand > cfg.t_end:
             break
-        lam_cand = float(link(_excitation(kernel, events, s_plus, t_cand, len(events))))
+        s_cand = _excitation(kernel, events, s_plus, t_cand, len(events))
+        lam_cand = float(link(s_cand))
         if lam_cand > lam_bar * (1.0 + _ENVELOPE_SLACK):
             raise _envelope_error(lam_cand, lam_bar, t_cand)
         if u_accept * lam_bar <= lam_cand:
-            _append_event(kernel, events, s_plus, t_cand)
+            if exponential:
+                s_plus.append(s_cand + kernel.jump)
+            events.append(t_cand)
         t = t_cand
 
     stream = EventStream(
@@ -281,7 +279,6 @@ def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
         link=link,
         t_start=float(t_start),
         t_end=float(cfg.t_end),
-        s_plus=tuple(s_plus),
     )
     return stream, path
 
@@ -294,11 +291,8 @@ def simulate(cfg: SimConfig) -> tuple[EventStream, "IntensityPath"]:
 class IntensityPath:
     """Everything needed to evaluate the (left-continuous) intensity exactly:
     the raw event list including the burn-in prefix, plus kernel and link.
-
-    For exponential kernels ``s_plus[i]`` caches the excitation sum right
-    after event i, giving O(1) evaluation between events.  ``simulate``
-    records it while thinning; ``build`` computes it for callers who bring
-    their own events.
+    The constructor takes the events as given: thinning builds through it,
+    and a candidate drawn with U = 0 lands on t_start.  ``build`` checks them.
     """
 
     events: tuple
@@ -306,28 +300,30 @@ class IntensityPath:
     link: object
     t_start: float
     t_end: float
-    s_plus: tuple = field(default=(), repr=False)
 
     @classmethod
     def build(cls, events, kernel, link, t_start, t_end) -> "IntensityPath":
         """Path of the given events, which must be finite, strictly ascending
-        and inside (t_start, t_end]."""
-        t_start, t_end = float(t_start), float(t_end)
-        times = tuple(float(e) for e in events)
-        if not (
-            all(map(math.isfinite, times))
-            and all(a < b for a, b in zip((t_start,) + times, times))
-            and (not times or times[-1] <= t_end)
-        ):
-            raise ParameterError(
-                f"events must be finite, strictly ascending and inside "
-                f"({t_start}, {t_end}]"
-            )
-        recorded: list[float] = []
-        s_plus: list[float] = []
-        for e in times:
-            _append_event(kernel, recorded, s_plus, e)
-        return cls(times, kernel, link, t_start, t_end, tuple(s_plus))
+        and inside (t_start, t_end], as an ``EventStream`` on that window checks."""
+        stream = EventStream(events, (t_start, t_end))
+        return cls(stream.times, kernel, link, *stream.window)
+
+    @cached_property
+    def s_plus(self) -> tuple:
+        """For exponential kernels S(e+) right after each event e, by the
+        Markov recursion S(e+) = S(e'+) * exp(-rate * (e - e')) + h(0+) from the
+        event e' before, which makes evaluation between events O(1); () for
+        other kernels.  Derived from ``events`` on first use."""
+        kernel, events = self.kernel, self.events
+        if not (isinstance(kernel, ExponentialKernel) and events):
+            return ()
+        rate, jump = kernel.rate, kernel.jump
+        s = jump
+        s_plus = [s]
+        for last, e in zip(events, events[1:]):
+            s = s * math.exp(-rate * (e - last)) + jump
+            s_plus.append(s)
+        return tuple(s_plus)
 
     def excitation_before(self, t: float) -> float:
         """S(t) using events strictly before t (predictable evaluation)."""

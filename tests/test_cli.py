@@ -9,6 +9,7 @@ from hawkesgauss import cli
 from hawkesgauss.cli import main
 from hawkesgauss.config import config_hash, parse_config, serialize_config
 from hawkesgauss.errors import ConfigError, SimulationError
+from hawkesgauss.simulator import SimConfig, simulate
 
 LINEAR_CONFIG = """\
 [kernel]
@@ -197,6 +198,18 @@ class TestCommands:
         main(["simulate", "--config", cfg, "--out", str(out2), "--seed", "43"])
         assert (out1 / "events.txt").read_text() != (out2 / "events.txt").read_text()
 
+    def test_simulate_burn_in_option_and_key(self, tmp_path):
+        # an explicit burn-in, as option or as [sim] key, overrides the start rule
+        params = parse_config(LINEAR_CONFIG).build_params()
+        expected = simulate(SimConfig(params, 10.0, burn_in=3.0, seed=42))[0].serialize()
+        assert expected != simulate(SimConfig(params, 10.0, seed=42))[0].serialize()
+        by_option = self.write(tmp_path, LINEAR_CONFIG)
+        by_key = self.write(tmp_path, LINEAR_CONFIG + "burn_in = 3\n", "key.ini")
+        for name, cfg, extra in (("option", by_option, ["--burn-in", "3"]), ("key", by_key, [])):
+            out = tmp_path / name
+            assert main(["simulate", "--config", cfg, "--out", str(out), *extra]) == 0
+            assert (out / "events.txt").read_text() == expected
+
     def test_unstable_config_exits_2(self, tmp_path, capsys):
         cfg = self.write(tmp_path, LINEAR_CONFIG.replace("mass = 0.5", "mass = 1.5"))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -266,6 +279,12 @@ class TestCommands:
         samples = (tmp_path / "samples_poisson.csv").read_text().splitlines()
         assert samples[1] == "replication,delta,event_sum,compensator,quad_err"
         assert len(samples) == 402
+
+    def test_experiment_unknown_preset_exits_2(self, tmp_path, capsys):
+        text = LINEAR_CONFIG + "\n[experiment]\nname = bound-vs-empirical\npreset = nope\n"
+        cfg = self.write(tmp_path, text)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "unknown preset 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("reps", ["-5", "1"])
     def test_experiment_bound_vs_empirical_too_few_reps_exits_2(self, tmp_path, capsys, reps):

@@ -67,6 +67,15 @@ class TestResolvent:
         assert tab.grid_mass() == pytest.approx(1.0, abs=1e-3)
         assert abs(tab.tail_bound) < 1e-3
 
+    def test_tabulated_end_jump_matches_box(self):
+        # a table ending on a nonzero value jumps to 0 at its support end,
+        # as a box does: the node there carries the mean of the two limits
+        tab = hg.resolvent(hg.TabulatedKernel(0.5, (0.8, 0.8)), alpha=1.0)
+        box = hg.resolvent(hg.BoxKernel(0.5, 0.4), alpha=1.0)
+        assert np.array_equal(tab.values, box.values)
+        assert tab.tail_bound == box.tail_bound
+        assert tab.tail_bound >= 0.0
+
     def test_fixed_point_residual(self):
         for kernel in (hg.ExponentialKernel(2.0, 0.4), hg.BoxKernel(0.7, 0.6)):
             tab = hg.resolvent(kernel, alpha=1.0, step=2e-3, horizon=10.0)
@@ -83,7 +92,8 @@ class TestResolvent:
         assert np.all(lo.values <= hi.values + 1e-12)
 
     def test_picard_oracle_agrees(self):
-        # 801 and 2668 nodes: the series inverse ends between doubling edges
+        # 801 and 2668 nodes: the tail solve's last Newton step ends between
+        # doubling edges
         for step in (0.01, 0.003):
             for kernel in (hg.ExponentialKernel(1.0, 0.5), hg.BoxKernel(1.0, 0.4)):
                 direct = hg.resolvent(kernel, alpha=1.0, step=step, horizon=8.0)

@@ -138,8 +138,20 @@ class TestSimulate:
         _, path = hg.simulate(hg.SimConfig(p, 30.0, burn_in=5.0, seed=41))
         assert len(path.events) > 20
         rebuilt = hg.IntensityPath.build(path.events, p.kernel, p.link, path.t_start, path.t_end)
-        assert rebuilt == path  # field by field, s_plus included
+        assert rebuilt == path  # field by field; s_plus derives from the events
         assert (len(path.s_plus) > 0) == (kind == "exponential")
+
+    def test_derived_s_plus_is_direct_sum(self):
+        # the recursion over the events gives S(e_i+) = sum_{j<=i} h(0+) *
+        # exp(-rate*(e_i - e_j))
+        k = KERNELS["exponential"]
+        p = hg.HawkesParams(k, hg.SaturatingExpLink(1.0, 3.0))
+        _, path = hg.simulate(hg.SimConfig(p, 30.0, burn_in=5.0, seed=41))
+        events = np.asarray(path.events)
+        assert len(events) > 20
+        direct = [k.jump * np.exp(-k.rate * (e - events[: i + 1])).sum()
+                  for i, e in enumerate(events)]
+        np.testing.assert_allclose(path.s_plus, direct, rtol=1e-12, atol=0)
 
     def test_config_validation(self):
         p = poisson_params()
@@ -295,6 +307,16 @@ class TestIntensityAt:
         ts = np.linspace(0.01, 100.0, 997)
         vals = [hg.intensity_at(path, float(t)) for t in ts]
         assert min(vals) >= 1.2 - 1e-12
+
+    def test_constructed_path_evaluates_as_built(self):
+        # the constructor takes no excitation state: the path derives it
+        args = ((0.3, 1.0, 1.4), KERNELS["exponential"], hg.LinearLink(1.0), 0.0, 2.0)
+        path, built = hg.IntensityPath(*args), hg.IntensityPath.build(*args)
+        u = hg.TestFunction((0.0, 1.2, 2.0), (1.0, -0.5))
+        for t in (0.2, 1.0, 1.5, 2.0):
+            assert hg.intensity_at(path, t) == hg.intensity_at(built, t)
+            assert path.excitation_after(t) == built.excitation_after(t)
+        assert weighted_intensity_integral(path, u) == weighted_intensity_integral(built, u)
 
     def test_window_guard(self):
         path = hg.IntensityPath.build((), hg.ExponentialKernel(1.0, 0.1), hg.LinearLink(1.0), 0.0, 5.0)

@@ -6,7 +6,9 @@ First, the head's ``scripts/digest.py`` runs once per checkout, in a fresh
 process with that checkout as working directory, so that each side digests
 the outputs of its own ``src/`` on the same case list.  The file keeps both
 sides' per-case sha256 digests and the list of cases whose digests differ,
-which is empty when the change leaves every output bit-identical.
+which is empty when the change leaves every output bit-identical.  A case
+that raises on one side reads ``"raised <ExceptionType>"`` there, so it is
+listed as changed, and the comparison goes on.
 
 For every workload and each of the held-out seeds 101-110,
 ``benchmarks/run.py --trace 0`` runs once in each checkout at the
@@ -21,7 +23,7 @@ since tracing sees only public functions), the public simulator functions'
 (``simulator.self_s``), the bound, resolvent and distance layers.
 The c07, c08 and c09 acceptance tests are timed once per checkout.
 
-Two fixed-work probes run in one fresh process per checkout and round,
+Three fixed-work probes run in one fresh process per checkout and round,
 ``PROBE_ROUNDS`` rounds with the side that runs first alternating, and report
 each side's runs with their minimum, quartiles and median.  The first runs
 50 jobs of each of ``PROBE_WORKLOADS`` (the three workloads) after one
@@ -33,13 +35,19 @@ grows with the number of jobs whose summaries the run keeps, it measures the
 library's own memory.  Each checkout runs its own ``benchmarks/`` on its own
 ``src/``.  The second times ``TANH_REPS`` replications of an exponential
 kernel with the tanh link (t_end 50, with moments), which no benchmark
-workload runs, after a warm-up, and prints the seconds and the peak RSS.  Ten rounds, because the same
-``preset-linear`` probe moves between about 22 and 40 ms per job within
-minutes on a loaded 2-core machine: the quartiles show that spread.  Last,
-``PROBE_ROUNDS`` alternating ``-X importtime`` runs of each probe
-workload's set-up probe per checkout give the cumulative import time of
-numpy, hawkesgauss, scipy and ``scipy.special`` with the same spread, since
-a single run a side would carry the machine's load rather than the change.
+workload runs, after a warm-up, and prints the seconds and the peak RSS.  The
+third times ``RESOLVENT_SOLVES`` solves of ``hawkesgauss.resolvent`` on the
+c05 grid (step 1e-3, horizon 15) for each of ``RESOLVENT_KINDS``, one kernel
+kind per process, and prints the median ms per solve: exponential kernels
+take the closed form, box and tabulated ones Newton doubling, which the
+traced ``kernels.resolvent.s_per_solve_p50`` of ``analytic`` mixes.  Ten
+rounds, because the same ``preset-linear`` probe moves between about 22 and
+40 ms per job within minutes on a loaded 2-core machine: the quartiles show
+that spread.  Last, ``PROBE_ROUNDS`` alternating ``-X importtime`` runs of
+each probe workload's set-up probe per checkout give the cumulative import
+time of numpy, hawkesgauss, scipy and ``scipy.special`` with the same
+spread, since a single run a side would carry the machine's load rather
+than the change.
 """
 
 from __future__ import annotations
@@ -112,9 +120,30 @@ print(time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_maxr
 """
 
 
+RESOLVENT_SOLVES = 50
+RESOLVENT_KINDS = ("exponential", "box", "tabulated")
+#: the resolvent probe: a warm-up and RESOLVENT_SOLVES solves on the c05 grid
+#: of one kernel kind on the checkout's src/; prints the median ms per solve
+RESOLVENT_PROBE = """
+import statistics, sys, time
+sys.path.insert(0, "src")
+import hawkesgauss as hg
+kernel = {"exponential": hg.ExponentialKernel(1.0, 0.5), "box": hg.BoxKernel(1.0, 0.4),
+          "tabulated": hg.TabulatedKernel(0.5, (0.0, 0.4, 0.6, 0.3, 0.1, 0.0))}[sys.argv[1]]
+hg.resolvent(kernel, alpha=1.0, step=1e-3, horizon=15.0)
+walls = []
+for _ in range(int(sys.argv[2])):
+    t0 = time.perf_counter()
+    hg.resolvent(kernel, alpha=1.0, step=1e-3, horizon=15.0)
+    walls.append(time.perf_counter() - t0)
+print(1e3 * statistics.median(walls))
+"""
+
+
 def digests(base: Path, head: Path) -> dict:
     """``DIGEST`` run in each checkout: both sides' digests and the cases
-    whose digests differ, a case missing on one side counting as differing."""
+    whose digests differ, a case missing or raising on one side counting as
+    differing."""
     out = {}
     for side, checkout in (("base", base), ("head", head)):
         done = subprocess.run([sys.executable, str(DIGEST)], cwd=checkout,
@@ -206,6 +235,14 @@ def tanh_probe(base: Path, head: Path) -> dict:
                           ("seconds", "peak_rss_mb"), "tanh probe")}
 
 
+def resolvent_probe(base: Path, head: Path) -> dict:
+    """The RESOLVENT_PROBE fixed-work probe of each of ``RESOLVENT_KINDS``."""
+    return {"solves": RESOLVENT_SOLVES,
+            **{kind: probe_pairs(base, head, ["-c", RESOLVENT_PROBE, kind, str(RESOLVENT_SOLVES)],
+                                 ("ms_per_solve",), f"resolvent probe {kind}")
+               for kind in RESOLVENT_KINDS}}
+
+
 def cumulative_imports(done, fields: tuple) -> dict:
     """The ``-X importtime`` report of a finished process: the cumulative
     microseconds of every top-level import summed (``top_level_cum_us``),
@@ -294,6 +331,9 @@ def main(argv=None) -> int:
                      "tanh_probe": f"{TANH_REPS} exponential x tanh replications, t_end 50, "
                                    f"with moments, after a warm-up, one fresh process each, "
                                    f"{PROBE_ROUNDS} alternating rounds",
+                     "resolvent_probe": f"{RESOLVENT_SOLVES} c05-grid resolvent solves of each "
+                                        f"of {', '.join(RESOLVENT_KINDS)} after a warm-up, one "
+                                        f"fresh process each, {PROBE_ROUNDS} alternating rounds",
                      "import_time": f"-X importtime of the set-up probe, one fresh process "
                                     f"each, {PROBE_ROUNDS} alternating rounds"},
         "base": git_version(base),
@@ -303,6 +343,7 @@ def main(argv=None) -> int:
         "per_layer": {w: paired(base, head, w, 1, LAYER_METRICS) for w in WORKLOADS},
         "fixed_work": fixed_work(base, head),
         "tanh_probe": tanh_probe(base, head),
+        "resolvent_probe": resolvent_probe(base, head),
         "import_time": {w: import_times(base, head, w) for w in PROBE_WORKLOADS},
         "acceptance": {c: {"base": time_acceptance(base, c), "head": time_acceptance(head, c)}
                        for c in ACCEPTANCE},

@@ -3,12 +3,17 @@ u, u^2 and |u|^3 against lambda (``replication_sums``).
 
 Exponential kernels, with any link, thin all paths in lockstep as numpy
 vectors.  Each running path keeps its Markov state: the time t of its last
-candidate, its last event t_last and S(t_last+).  Step j draws candidate j
-of every path from the stream layout of ``simulate`` (uniforms 2j and 2j + 1
-of ``rng_for(seed, k).random()``) and thins; it integrates nothing.  The
-uniforms come in blocks of ``simulator._BLOCK`` per path, read through one
-Philox per chunk, whose key and counter are set per path and block
-(``simulator._stream_reader``), so no path builds a generator of its own.
+candidate, its last event t_last and S(t_last+), and the dominating rate
+lambda-bar = link(S(t+)) of its next candidate.  That rate is carried from
+the step before rather than recomputed: a rejected candidate leaves it at
+lambda(t_cand), an accepted one at link(S(t_cand) + h(0+)), the same values
+that link(S(t_last+) * exp(-rate * (t - t_last))) gives.  Step j draws
+candidate j of every path from the stream layout of ``simulate`` (uniforms
+2j and 2j + 1 of ``rng_for(seed, k).random()``) and thins; it integrates
+nothing.  The uniforms come in blocks of ``simulator._BLOCK`` per path, read
+through one Philox per chunk, whose key and counter are set per path and
+block (``simulator._stream_reader``), so no path builds a generator of its
+own.
 Between events lambda is deterministic, so the compensator is fixed by the
 accepted events alone (Ogata 1981): each event, and each path's end at
 t_end, closes one inter-event interval (t_last, t], which goes to a list
@@ -117,6 +122,9 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
     t = np.full(n, -float(burn_in))
     t_last = t.copy()
     s_last = np.zeros(n)
+    # the dominating rate link(S(t+)) of each path's next candidate, carried
+    # from step to step: at the start S = 0
+    lam_bar = link(s_last)
     events, ends, held = [], [], 0
     while rep.size:
         if pos == _BLOCK:
@@ -128,9 +136,8 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
             pos = 0
         u_wait, u_accept = buf[row_of, pos], buf[row_of, pos + 1]
         pos += 2
-        lam_bar = link(s_last * np.exp(-rate * (t - t_last)))
         bad = lam_bar <= 0
-        if bad.any():
+        if np.count_nonzero(bad):
             i = bad.nonzero()[0][0]
             raise _rate_error(float(lam_bar[i]), float(t[i]))
         t_cand = t - np.log1p(-u_wait) / lam_bar
@@ -138,23 +145,27 @@ def _thin_chunk(params, u, pieces, t_end, burn_in, seed, first, event_sum, integ
         lam_cand = link(s_cand)
         alive = t_cand <= t_end
         bad = alive & (lam_cand > lam_bar * (1.0 + _ENVELOPE_SLACK))
-        if bad.any():
+        if np.count_nonzero(bad):
             i = bad.nonzero()[0][0]
             raise _envelope_error(float(lam_cand[i]), float(lam_bar[i]), float(t_cand[i]))
         hit = (alive & (u_accept * lam_bar <= lam_cand)).nonzero()[0]
+        # the next candidate's dominating rate: lam_cand where rejected,
+        # link(S(t_cand) + h(0+)) where accepted
+        lam_bar = lam_cand
         if hit.size:
             t_hit = t_cand[hit]
             events.append((rep[hit], t_last[hit], s_last[hit], t_hit))
             held += hit.size
             t_last[hit] = t_hit
             s_last[hit] = s_cand[hit] + jump
+            lam_bar[hit] = link(s_last[hit])
         t = t_cand
         if np.count_nonzero(alive) < rep.size:
             end = (~alive).nonzero()[0]
             ends.append((rep[end], t_last[end], s_last[end], np.full(end.size, t_end)))
             held += end.size
-            rep, t, t_last, s_last, row_of = (
-                x[alive] for x in (rep, t, t_last, s_last, row_of)
+            rep, t, t_last, s_last, lam_bar, row_of = (
+                x[alive] for x in (rep, t, t_last, s_last, lam_bar, row_of)
             )
         if held >= _RECORD or not rep.size:
             _integrate(kernel, link, u, pieces, events, ends, event_sum, integrals)

@@ -72,7 +72,7 @@ def _segment_points(path: IntensityPath, w: TestFunction) -> np.ndarray:
     # tabulated kernel, otherwise at 0 and the end of the support
     kernel = path.kernel
     ages = kernel._grid if isinstance(kernel, TabulatedKernel) else [0.0, kernel.support_end]
-    knots = (np.asarray(path.events)[:, None] + ages).ravel()
+    knots = (path._event_array[:, None] + ages).ravel()
     # sort and drop repeats by hand: np.unique (and np.union1d through it)
     # imports numpy.ma on first use, about 15 ms
     cuts = np.sort(np.concatenate([bp, knots[(knots > lo) & (knots < hi)]]))

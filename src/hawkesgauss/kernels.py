@@ -3,7 +3,9 @@ psi = alpha*h + alpha*h*psi (* = convolution), and double integrals of step
 functions against the resolvent.
 
 The trapezoid rule turns the renewal equation into a fixed-point equation
-P = a*g + b*g*P for the power series P of psi's tail, which Newton doubling
+P = a*g + b*g*P for the power series P of psi's tail.  For an exponential
+kernel g is geometric, and so is P, in closed form (the discrete twin of
+Hawkes 1971, Biometrika 58).  For box and tabulated kernels Newton doubling
 (Brent & Kung 1978, J. ACM 25) solves for P itself by FFT, with one middle
 product (Hanrot, Quercia & Zimmermann 2004, AAECC 14) per step.
 """
@@ -170,12 +172,17 @@ def resolvent(
 ) -> ResolventTable:
     """Solve the discretized renewal equation psi = alpha*h + alpha*h*psi.
 
-    The trapezoid rule's lower-triangular Toeplitz system is solved for
-    psi's tail by Newton doubling on the tail itself (``_tail_solve``), which
-    lands on the fixed point of the discretized Picard map; its residual is
-    checked against ``tol`` afterwards.  Every long sum is an FFT, not BLAS,
-    so the cost does not depend on the BLAS thread pool: about 3.8 ms for
-    the 15 001-node c05 grid on a 2-vCPU Xeon.
+    The trapezoid rule's lower-triangular Toeplitz system has, for psi's
+    tail, a geometric solution when the kernel is exponential, which is
+    taken in closed form; for box and tabulated kernels it is solved by
+    Newton doubling on the tail itself (``_tail_solve``).  Both land on the
+    fixed point of the discretized Picard map, and its residual is checked
+    against ``tol`` afterwards.  Every long sum is an FFT, not BLAS, so the
+    cost does not depend on the BLAS thread pool.  On the 15 001-node c05
+    grid, on a 2-vCPU Xeon, a solve takes about 1.6 ms with an exponential
+    kernel (3.4 ms by Newton doubling) and 3.4-4.6 ms with a box or
+    tabulated one, of which the residual check is about two thirds for the
+    exponential kernel.
     """
     if not (alpha >= 0 and math.isfinite(alpha)):
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
@@ -201,7 +208,15 @@ def resolvent(
     # ah_{k-j} psi_j = ah_k*(1 + step*psi_0/2): with g = ah but g_0 = 0, the tail
     # P = sum_{k>=1} psi_k z^k solves P = a*g + b*g*P
     a, b = (1.0 + 0.5 * step * ah[0]) / denom, step / denom
-    psi = _tail_solve(np.concatenate(([0.0], ah[1:])), a, b)
+    if isinstance(kernel, ExponentialKernel):
+        # g_k = ah_0*r^k with r = exp(-rate*step) makes P = a*ah_0*r*z/(1 - q*z),
+        # q = r*(1 + b*ah_0): P_k = a*ah_0*r*q^(k-1), with q^(k-1) taken as
+        # exp((k-1)*log q), since a rounded q would drift by k*eps
+        log_q = math.log1p(b * ah[0]) - kernel.rate * step
+        psi = np.empty(n)
+        psi[1:] = a * ah[0] * math.exp(-kernel.rate * step) * np.exp(np.arange(n - 1) * log_q)
+    else:
+        psi = _tail_solve(np.concatenate(([0.0], ah[1:])), a, b)
     psi[0] = ah[0]
 
     residual = psi - (ah + _conv_trapezoid(ah, psi, step))

@@ -325,6 +325,16 @@ class IntensityPath:
             s_plus.append(s)
         return tuple(s_plus)
 
+    @cached_property
+    def _event_array(self) -> np.ndarray:
+        """``events`` as a read-only float array, built once per path."""
+        return _read_only(self.events)
+
+    @cached_property
+    def _s_plus_array(self) -> np.ndarray:
+        """``s_plus`` as a read-only float array, built once per path."""
+        return _read_only(self.s_plus)
+
     def excitation_before(self, t: float) -> float:
         """S(t) using events strictly before t (predictable evaluation)."""
         n = bisect_left(self.events, t)
@@ -340,14 +350,14 @@ class IntensityPath:
         the right limit S(t+) for side="right", as ``excitation_before`` and
         ``excitation_after`` give them one by one."""
         kernel = self.kernel
-        events = np.asarray(self.events)
+        events = self._event_array
         n = np.searchsorted(events, ts, side)
         if isinstance(kernel, ExponentialKernel):
             if events.size == 0:
                 return np.zeros_like(ts)
             last = np.maximum(n - 1, 0)
             age = np.where(n > 0, ts - events[last], np.inf)
-            return np.asarray(self.s_plus)[last] * np.exp(-kernel.rate * age)
+            return self._s_plus_array[last] * np.exp(-kernel.rate * age)
         # the windows of _excitation
         lo = np.searchsorted(events, ts - kernel.support_end, side)
         if isinstance(kernel, BoxKernel):
@@ -360,6 +370,12 @@ class IntensityPath:
         owner = np.broadcast_to(np.arange(ts.size), keep.shape)[keep]
         terms = _kernel_terms(kernel, ts[owner] - events[(lo + rank)[keep]])
         return np.bincount(owner, terms, minlength=ts.size)
+
+
+def _read_only(values: tuple) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def intensity_at(path: IntensityPath, t: float) -> float:

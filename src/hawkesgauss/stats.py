@@ -5,8 +5,8 @@ The normal CDF and quantile come from the standard library, ``math.erfc``
 and ``statistics.NormalDist.inv_cdf`` (Wichura's AS 241), one element at a
 time; scipy is not imported, which spares a verification run about 0.2 s and
 17 MB (2-vCPU x86).  KS, W1 and its bootstrap share Phi of a sample set's
-values (``_cdf_of``), and Phi^-1(i/m) and A there for each sample size m
-(``_w1_roots``), each computed once.
+values (``_cdf_of``), and Phi^-1(i/m) and G = A - (i/m)*Phi^-1(i/m) there for
+each sample size m (``_w1_roots``), each computed once.
 """
 
 from __future__ import annotations
@@ -93,32 +93,31 @@ def _antideriv(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _w1_roots(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Phi^-1(i/m) for i = 1..m-1 and A there, the roots that
-    ``_w1_rows`` takes for samples of size m."""
+    """Read-only roots Phi^-1(i/m) for i = 1..m-1 and G(root) = A(root) -
+    (i/m)*root there, what ``_w1_rows`` takes for samples of size m."""
     roots = normal_quantile(np.arange(1, m) / m)
-    a_roots = _antideriv(roots, normal_cdf(roots))
-    roots.flags.writeable = a_roots.flags.writeable = False
-    return roots, a_roots
+    g_roots = _antideriv(roots, normal_cdf(roots)) - np.arange(1, m) / m * roots
+    roots.flags.writeable = g_roots.flags.writeable = False
+    return roots, g_roots
 
 
 def _w1_rows(
-    x: np.ndarray, a_x: np.ndarray, roots: np.ndarray, a_roots: np.ndarray
+    x: np.ndarray, a_x: np.ndarray, roots: np.ndarray, g_roots: np.ndarray
 ) -> np.ndarray:
     """Exact integral of |F_M - Phi| for each sorted row of x, shape (B, M).
 
-    ``a_x`` must be A(x), ``roots`` Phi^-1(i/M) for i = 1..M-1 and
-    ``a_roots`` A(roots).
+    ``a_x`` must be A(x), and ``roots`` and ``g_roots`` as ``_w1_roots(M)``
+    gives them.
     Between consecutive order statistics l <= r the empirical CDF is the
     constant c = i/M, so each piece is G(l) + G(r) - 2*G(clip(root)) with
-    G(t) = A(t) - c*t, the clipped root taking A from l, r or the root; the
-    two tails integrate to A(x_1) and A(x_M) - x_M in closed form.
+    G(t) = A(t) - c*t, G at the clipped root being G(l), G(r) or G(root);
+    the two tails integrate to A(x_1) and A(x_M) - x_M in closed form.
     """
     c = np.arange(1, x.shape[1]) / x.shape[1]
-    left, right, a_left, a_right = x[:, :-1], x[:, 1:], a_x[:, :-1], a_x[:, 1:]
-    below, above = roots < left, roots > right
-    rc = np.where(below, left, np.where(above, right, roots))
-    a_rc = np.where(below, a_left, np.where(above, a_right, a_roots))
-    pieces = (a_left - c * left) + (a_right - c * right) - 2.0 * (a_rc - c * rc)
+    left, right = x[:, :-1], x[:, 1:]
+    g_left, g_right = a_x[:, :-1] - c * left, a_x[:, 1:] - c * right
+    g_clip = np.where(roots < left, g_left, np.where(roots > right, g_right, g_roots))
+    pieces = (g_left + g_right) - 2.0 * g_clip
     return a_x[:, 0] + (a_x[:, -1] - x[:, -1]) + np.sum(pieces, axis=1)
 
 
@@ -156,7 +155,7 @@ def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
     m = s.count
-    roots, a_roots = _w1_roots(m)
+    roots, g_roots = _w1_roots(m)
     a_values = _antideriv(s.values, _cdf_of(s))
     rng = np.random.default_rng(seed)
     rows = max(1, _BOOT_BLOCK // m)
@@ -164,7 +163,7 @@ def bootstrap_w1_se(s: SampleSet, n_boot: int = 200, seed: int = 0) -> float:
     for start in range(0, n_boot, rows):
         k = min(rows, n_boot - start)
         idx = np.sort(rng.integers(0, m, size=(k, m)), axis=1)
-        stats[start:start + k] = _w1_rows(s.values[idx], a_values[idx], roots, a_roots)
+        stats[start:start + k] = _w1_rows(s.values[idx], a_values[idx], roots, g_roots)
     return float(np.std(stats, ddof=1))
 
 

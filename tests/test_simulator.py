@@ -318,6 +318,28 @@ class TestIntensityAt:
             assert path.excitation_after(t) == built.excitation_after(t)
         assert weighted_intensity_integral(path, u) == weighted_intensity_integral(built, u)
 
+    @pytest.mark.parametrize("kind", KERNELS)
+    @pytest.mark.parametrize("made", ["simulated", "constructed", "empty"])
+    def test_cached_arrays_read_only_and_equal_to_tuples(self, kind, made):
+        # the evaluator and the compensator's cuts read the events and the
+        # exponential state as arrays built once per path
+        k = KERNELS[kind]
+        if made == "simulated":
+            path = hg.simulate(hg.SimConfig(hg.HawkesParams(k, hg.LinearLink(1.0)), 20.0,
+                                            burn_in=3.0, seed=2))[1]
+            assert len(path.events) > 10
+        else:
+            events = (0.3, 1.0, 1.4) if made == "constructed" else ()
+            path = hg.IntensityPath(events, k, hg.LinearLink(1.0), 0.0, 2.0)
+        for arr, values in ((path._event_array, path.events), (path._s_plus_array, path.s_plus)):
+            assert arr.dtype == np.float64
+            assert np.array_equal(arr, np.asarray(values, dtype=float))
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        assert path._event_array is path._event_array
+        assert path._s_plus_array is path._s_plus_array
+        assert len(path._s_plus_array) == (len(path.events) if kind == "exponential" else 0)
+
     def test_window_guard(self):
         path = hg.IntensityPath.build((), hg.ExponentialKernel(1.0, 0.1), hg.LinearLink(1.0), 0.0, 5.0)
         with pytest.raises(ParameterError):
